@@ -143,4 +143,16 @@ cargo test --release --offline --test flow_crossval -- --include-ignored
 ./target/release/validate_report BENCH_flowscale.json
 ./target/release/perf_flowscale --check BENCH_flowscale.json
 
+# Benchmark-behaviour gate: the repository benchmark (perfbench/, see
+# BENCHMARK.json) runs its self-tests, then one short run of each workload
+# on pinned seed 1. The run's digest pass compares the trace digest and
+# event count with the pin in perfbench/src/pins.rs and exits non-zero on
+# any mismatch or failed check, so a behaviour change fails here instead
+# of only in a benchmark comparison.
+cargo test --offline --manifest-path perfbench/Cargo.toml
+for workload in packet_fattree packet_scenc_faults flow_churn; do
+    cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 0 >/dev/null
+done
+
 echo "ci: all gates passed"

@@ -29,22 +29,31 @@
 //!    subflow when it reaches its demand or its tightest link saturates —
 //!    projects the demands onto the capacity region. This is the
 //!    dslab-style throughput model: a single water-filling pass per
-//!    recompute, implemented level-by-level with lazily rekeyed
-//!    link-saturation heap entries, O(E log E + E·L) for E subflow
-//!    entities of path length L.
+//!    recompute. An indexed min-heap holds one entry per link that still
+//!    carries an unfrozen subflow, keyed on the level at which it
+//!    saturates; freezing a subflow moves the keys of its own links in
+//!    place, and a link leaves the heap when it saturates or its last
+//!    subflow freezes. For S subflows of path length L over N links a pass
+//!    costs O(S log S) for the demand sort plus O(S·L·log N) for the key
+//!    moves.
 //!
 //! Goodput finally discounts each path's allocated rate by its route loss,
 //! mirroring how the packet backend counts delivered (not sent) packets.
 //!
+//! A recompute first gathers the active subflows, in `active` order, into
+//! a dense table: a CSR link list plus each subflow's RTT, rate and
+//! tightest capacity. The sweeps, the fill and the goodput pass all run
+//! over that table, and the allocated rates are scattered back to the flow
+//! slots once at the end.
+//!
 //! Everything here is deterministic: iteration follows `active` order and
-//! link index order, floats are compared with `total_cmp`, and scratch
-//! buffers are reused across recomputes so the hot path does not allocate
-//! once it reaches steady state.
+//! link index order, floats are compared with `total_cmp` or by their bits,
+//! and scratch buffers are reused across recomputes so the hot path does
+//! not allocate once it reaches steady state.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::ops::Range;
 
-use fluid::rates::target_rates;
+use fluid::rates::{target_rates, RateRule};
 
 use crate::sim::{FlowSlot, MAX_SUBFLOWS};
 
@@ -113,27 +122,89 @@ impl AllocConfig {
 pub(crate) struct AllocScratch {
     loads: Vec<f64>,
     ploss: Vec<f64>,
-    // Entity tables (entity = one subflow of one active flow).
-    ent_flow: Vec<u32>,
-    ent_sub: Vec<u32>,
-    demand: Vec<f64>,
+    sub: Subflows,
+    fill: Fill,
+}
+
+/// The active subflows of one recompute, in `active` order: active flow
+/// `k` owns subflows `flow_off[k]..flow_off[k + 1]`, one per path.
+#[derive(Debug, Default)]
+struct Subflows {
+    flow_off: Vec<u32>,
+    /// Rate-coupling rule, per active flow.
+    rule: Vec<RateRule>,
+    // CSR subflow → links crossed.
+    link_off: Vec<u32>,
+    links: Vec<u32>,
+    rtt: Vec<f64>,
+    /// The warm start, then each sweep's rates, then the fill's demands.
+    rate: Vec<f64>,
+    /// Tightest capacity along the path, pkts/s.
+    min_cap: Vec<f64>,
+}
+
+impl Subflows {
+    /// Rebuild the table from the flows in `active`.
+    fn gather(&mut self, caps: &[f64], flows: &[FlowSlot], active: &[u32]) {
+        self.flow_off.clear();
+        self.rule.clear();
+        self.link_off.clear();
+        self.links.clear();
+        self.rtt.clear();
+        self.rate.clear();
+        self.min_cap.clear();
+        self.flow_off.push(0);
+        self.link_off.push(0);
+        for &fi in active {
+            let f = &flows[fi as usize];
+            self.rule.push(f.rule);
+            for r in 0..f.num_paths() {
+                let path = f.path_links(r);
+                self.links.extend_from_slice(path);
+                self.link_off.push(self.links.len() as u32);
+                self.min_cap.push(min_cap(caps, path));
+            }
+            self.rtt.extend_from_slice(&f.rtts);
+            self.rate.extend_from_slice(&f.rates);
+            self.flow_off.push(self.rate.len() as u32);
+        }
+    }
+
+    /// Number of subflows.
+    fn len(&self) -> usize {
+        self.rate.len()
+    }
+
+    /// Subflow indices of active flow `k`.
+    #[inline]
+    fn flow(&self, k: usize) -> Range<usize> {
+        self.flow_off[k] as usize..self.flow_off[k + 1] as usize
+    }
+
+    /// Link indices of subflow `j`.
+    #[inline]
+    fn path(&self, j: usize) -> &[u32] {
+        &self.links[self.link_off[j] as usize..self.link_off[j + 1] as usize]
+    }
+}
+
+/// Water-filling state of one [`max_min_fill`] pass.
+#[derive(Debug, Default)]
+struct Fill {
     alloc: Vec<f64>,
     frozen: Vec<bool>,
+    /// Subflows in nondecreasing demand order.
     order: Vec<u32>,
-    // CSR link → entities crossing it.
+    // CSR link → subflows crossing it, and the write cursor that fills it.
     link_off: Vec<u32>,
-    link_ent: Vec<u32>,
-    // Water-filling per-link state.
+    link_sub: Vec<u32>,
+    cursor: Vec<u32>,
+    // Per link: capacity not yet consumed at level `lvl`, and the number of
+    // unfrozen subflows crossing it.
     rem: Vec<f64>,
     nun: Vec<u32>,
     lvl: Vec<f64>,
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-}
-
-impl AllocScratch {
-    pub(crate) fn new() -> AllocScratch {
-        AllocScratch::default()
-    }
+    heap: LinkHeap,
 }
 
 /// Route loss for one path: clamped sum of link losses.
@@ -170,6 +241,8 @@ pub(crate) fn recompute(
     link_loss: &mut Vec<f64>,
 ) {
     let nlinks = caps.len();
+    let sub = &mut s.sub;
+    sub.gather(caps, flows, active);
     s.loads.clear();
     s.loads.resize(nlinks, 0.0);
     // Warm-start prices from the previous recompute (idle floor for links
@@ -188,13 +261,10 @@ pub(crate) fn recompute(
         for v in s.loads.iter_mut() {
             *v = 0.0;
         }
-        for &fi in active {
-            let f = &flows[fi as usize];
-            for r in 0..f.num_paths() {
-                let rate = f.rates[r];
-                for &l in f.path_links(r) {
-                    s.loads[l as usize] += rate;
-                }
+        for j in 0..sub.len() {
+            let rate = sub.rate[j];
+            for &l in sub.path(j) {
+                s.loads[l as usize] += rate;
             }
         }
         for (l, &cap) in caps.iter().enumerate().take(nlinks) {
@@ -208,58 +278,46 @@ pub(crate) fn recompute(
             s.ploss[l] =
                 (s.ploss[l] * util.powf(cfg.price_gain)).clamp(cfg.p_link_min, cfg.p_link_cap);
         }
-        for &fi in active {
-            let f = &mut flows[fi as usize];
-            let n = f.num_paths();
+        for (k, &rule) in sub.rule.iter().enumerate() {
+            let js = sub.flow(k);
+            let n = js.len();
             let mut p = [0.0; MAX_SUBFLOWS];
             let mut floor = [0.0; MAX_SUBFLOWS];
             let mut tgt = [0.0; MAX_SUBFLOWS];
-            for r in 0..n {
-                p[r] = route_loss(&s.ploss, f.path_links(r), cfg);
+            for (r, j) in js.clone().enumerate() {
+                p[r] = route_loss(&s.ploss, sub.path(j), cfg);
                 // Probing floor: a fraction of the fair-TCP window at this
                 // path's loss, never below one MSS per RTT — the residual
                 // rate controllers hold on paths they have abandoned.
                 let probe = cfg.probe_frac * (2.0 / p[r]).sqrt();
-                floor[r] = probe.max(1.0) / f.rtts[r];
+                floor[r] = probe.max(1.0) / sub.rtt[j];
             }
-            target_rates(f.rule, &p[..n], &f.rtts[..n], &mut tgt[..n]);
-            for r in 0..n {
-                let cap = min_cap(caps, f.path_links(r));
+            target_rates(rule, &p[..n], &sub.rtt[js.clone()], &mut tgt[..n]);
+            for (r, j) in js.enumerate() {
+                let cap = sub.min_cap[j];
                 let want = tgt[r].min(cap).max(floor[r].min(cap));
-                f.rates[r] += cfg.damping * (want - f.rates[r]);
+                sub.rate[j] += cfg.damping * (want - sub.rate[j]);
             }
         }
     }
 
     // Stage 2: progressive-filling max-min with the sweep rates as demands.
-    s.ent_flow.clear();
-    s.ent_sub.clear();
-    s.demand.clear();
-    for &fi in active {
-        let f = &flows[fi as usize];
-        for (r, rate) in f.rates.iter().enumerate() {
-            s.ent_flow.push(fi);
-            s.ent_sub.push(r as u32);
-            s.demand.push(rate.max(0.0));
-        }
+    for d in sub.rate.iter_mut() {
+        *d = d.max(0.0);
     }
-    let nent = s.demand.len();
-    max_min_fill(caps, flows, s, nent);
+    max_min_fill(caps, sub, &mut s.fill);
 
-    // Write the projected rates back and derive goodputs from the cleared
+    // Scatter the projected rates back and derive goodputs from the cleared
     // prices (the loss probabilities the packet backend would measure).
-    for e in 0..nent {
-        let a = s.alloc[e];
-        let f = &mut flows[s.ent_flow[e] as usize];
-        f.rates[s.ent_sub[e] as usize] = a;
-    }
-    for &fi in active {
+    let alloc = &s.fill.alloc;
+    for (k, &fi) in active.iter().enumerate() {
         let f = &mut flows[fi as usize];
+        f.rates.copy_from_slice(&alloc[sub.flow(k)]);
         let mut g = 0.0;
-        for r in 0..f.num_paths() {
-            let p = route_loss(&s.ploss, f.path_links(r), cfg);
-            // simlint: allow(R11) indexed loop over this flow's fixed path array; summation order is deterministic
-            g += f.rates[r] * (1.0 - p);
+        for j in sub.flow(k) {
+            let p = route_loss(&s.ploss, sub.path(j), cfg);
+            // simlint: allow(R11) ascending range over this flow's subflows; summation order is deterministic
+            g += alloc[j] * (1.0 - p);
         }
         f.goodput = g;
     }
@@ -267,195 +325,396 @@ pub(crate) fn recompute(
     link_loss.extend_from_slice(&s.ploss);
 }
 
-/// Saturation level a link would reach if all its unfrozen entities kept
+/// Saturation level a link would reach if all its unfrozen subflows kept
 /// growing: current level plus remaining capacity spread across them.
 #[inline]
 fn sat_level(rem: f64, nun: u32, lvl: f64) -> f64 {
     lvl + rem.max(0.0) / nun as f64
 }
 
-/// Progressive filling over the entity tables in `s` (first `nent`
-/// entries): every entity's rate rises from zero at a common level;
-/// an entity freezes when the level reaches its demand or one of its
-/// links saturates. Fills `s.alloc`.
-///
-/// Levels are processed in nondecreasing order. Link saturation levels
-/// only grow as entities freeze, so the heap holds lazily stale
-/// (underestimated) keys that are rekeyed on pop — the classic lazy
-/// water-filling trick.
-fn max_min_fill(caps: &[f64], flows: &[FlowSlot], s: &mut AllocScratch, nent: usize) {
-    let nlinks = caps.len();
-    s.alloc.clear();
-    s.alloc.resize(nent, 0.0);
-    s.frozen.clear();
-    s.frozen.resize(nent, false);
+/// A heap key within this relative distance below a link's saturation
+/// level still stands for it.
+#[inline]
+fn key_tolerance(key: f64) -> f64 {
+    1e-12 * key.abs().max(1.0)
+}
 
-    // CSR: link → entities crossing it.
-    s.link_off.clear();
-    s.link_off.resize(nlinks + 1, 0);
-    for e in 0..nent {
-        let path = flows[s.ent_flow[e] as usize].path_links(s.ent_sub[e] as usize);
-        for &l in path {
-            s.link_off[l as usize + 1] += 1;
-        }
+/// Progressive filling over the subflows of `sub`, with `sub.rate` as
+/// their demands: every subflow's rate rises from zero at a common level;
+/// a subflow freezes when the level reaches its demand or one of its links
+/// saturates. Fills `w.alloc`.
+///
+/// Levels are decided in nondecreasing order. Each live link sits in the
+/// heap once, and the decision uses its current saturation level. Its key
+/// is that level as of the last time the key moved: a freeze moves the key
+/// only when the level drops below it or rises above it by more than
+/// [`key_tolerance`]. That is the entry a heap which pushed every new level
+/// and rekeyed stale entries only when they surfaced would surface (the two
+/// could part only if a level crept up in several steps, each inside the
+/// tolerance), so links whose levels tie to within rounding are decided in
+/// that heap's order. The tests hold the allocation to such a heap's, bit
+/// for bit.
+fn max_min_fill(caps: &[f64], sub: &Subflows, w: &mut Fill) {
+    let nlinks = caps.len();
+    let nsub = sub.len();
+    w.alloc.clear();
+    w.alloc.resize(nsub, 0.0);
+    w.frozen.clear();
+    w.frozen.resize(nsub, false);
+
+    // CSR: link → subflows crossing it.
+    w.link_off.clear();
+    w.link_off.resize(nlinks + 1, 0);
+    for &l in &sub.links {
+        w.link_off[l as usize + 1] += 1;
     }
     for l in 0..nlinks {
-        let carry = s.link_off[l];
-        s.link_off[l + 1] += carry;
+        let carry = w.link_off[l];
+        w.link_off[l + 1] += carry;
     }
-    s.link_ent.clear();
-    s.link_ent.resize(s.link_off[nlinks] as usize, 0);
-    {
-        // Fill backwards through a cursor copy so offsets stay intact.
-        let mut cursor: Vec<u32> = Vec::with_capacity(nlinks);
-        cursor.extend_from_slice(&s.link_off[..nlinks]);
-        for e in 0..nent {
-            let path = flows[s.ent_flow[e] as usize].path_links(s.ent_sub[e] as usize);
-            for &l in path {
-                let c = &mut cursor[l as usize];
-                s.link_ent[*c as usize] = e as u32;
-                *c += 1;
-            }
+    w.link_sub.clear();
+    w.link_sub.resize(w.link_off[nlinks] as usize, 0);
+    // Fill through a cursor copy so the offsets stay intact.
+    w.cursor.clear();
+    w.cursor.extend_from_slice(&w.link_off[..nlinks]);
+    for j in 0..nsub {
+        for &l in sub.path(j) {
+            let c = &mut w.cursor[l as usize];
+            w.link_sub[*c as usize] = j as u32;
+            *c += 1;
         }
     }
 
     // Per-link water-filling state.
-    s.rem.clear();
-    s.rem.extend_from_slice(caps);
-    s.nun.clear();
-    s.nun.resize(nlinks, 0);
-    s.lvl.clear();
-    s.lvl.resize(nlinks, 0.0);
+    w.rem.clear();
+    w.rem.extend_from_slice(caps);
+    w.nun.clear();
+    w.nun.extend(w.link_off.windows(2).map(|o| o[1] - o[0]));
+    w.lvl.clear();
+    w.lvl.resize(nlinks, 0.0);
+    w.heap.reset(nlinks);
     for l in 0..nlinks {
-        s.nun[l] = s.link_off[l + 1] - s.link_off[l];
-    }
-    s.heap.clear();
-    for l in 0..nlinks {
-        if s.nun[l] > 0 {
-            let sat = sat_level(s.rem[l], s.nun[l], 0.0);
-            s.heap.push(Reverse((sat.to_bits(), l as u32)));
+        if w.nun[l] > 0 {
+            w.heap.push(l, sat_level(w.rem[l], w.nun[l], 0.0).to_bits());
         }
     }
 
-    // Entities in demand order.
-    s.order.clear();
-    s.order.extend(0..nent as u32);
-    let demand = &s.demand;
-    s.order
+    // Subflows in demand order.
+    let demand = &sub.rate;
+    w.order.clear();
+    w.order.extend(0..nsub as u32);
+    w.order
         .sort_unstable_by(|&a, &b| demand[a as usize].total_cmp(&demand[b as usize]));
 
     let mut ptr = 0usize;
     loop {
-        while ptr < nent && s.frozen[s.order[ptr] as usize] {
+        while ptr < nsub && w.frozen[w.order[ptr] as usize] {
             ptr += 1;
         }
-        if ptr >= nent {
+        if ptr >= nsub {
             break;
         }
-        let next_demand = s.demand[s.order[ptr] as usize];
-
-        // Validated top of the saturation heap.
-        let mut top: Option<(f64, u32)> = None;
-        while let Some(&Reverse((bits, l))) = s.heap.peek() {
-            let li = l as usize;
-            if s.nun[li] == 0 {
-                s.heap.pop();
-                continue;
-            }
-            let sat = sat_level(s.rem[li], s.nun[li], s.lvl[li]);
-            let key = f64::from_bits(bits);
-            if sat > key + 1e-12 * key.abs().max(1.0) {
-                // Stale underestimate: rekey and retry.
-                s.heap.pop();
-                s.heap.push(Reverse((sat.to_bits(), l)));
-                continue;
-            }
-            top = Some((sat, l));
-            break;
-        }
-
+        let next_demand = demand[w.order[ptr] as usize];
+        let top = w
+            .heap
+            .peek()
+            .map(|l| (sat_level(w.rem[l], w.nun[l], w.lvl[l]), l));
         match top {
             Some((sat, l)) if sat < next_demand => {
                 // The link saturates first: freeze everyone crossing it.
-                s.heap.pop();
-                let li = l as usize;
-                let (start, end) = (s.link_off[li] as usize, s.link_off[li + 1] as usize);
-                for i in start..end {
-                    let e = s.link_ent[i] as usize;
-                    if !s.frozen[e] {
-                        freeze(flows, s, e, sat);
+                w.heap.remove(l);
+                for i in w.link_off[l] as usize..w.link_off[l + 1] as usize {
+                    let j = w.link_sub[i] as usize;
+                    if !w.frozen[j] {
+                        freeze(sub, w, j, sat);
                     }
                 }
             }
             _ => {
                 // The next demand is reached first (or no link constrains).
-                let e = s.order[ptr] as usize;
+                let j = w.order[ptr] as usize;
                 ptr += 1;
-                freeze(flows, s, e, next_demand);
+                freeze(sub, w, j, next_demand);
             }
         }
     }
 }
 
-/// Freeze entity `e` at allocation `level`: advance each of its links'
+/// Freeze subflow `j` at allocation `level`: advance each of its links'
 /// consumption checkpoint to `level`, drop it from their unfrozen counts,
-/// and rekey their saturation levels.
-fn freeze(flows: &[FlowSlot], s: &mut AllocScratch, e: usize, level: f64) {
-    s.frozen[e] = true;
-    s.alloc[e] = level;
-    let path = flows[s.ent_flow[e] as usize].path_links(s.ent_sub[e] as usize);
-    for &l in path {
-        let li = l as usize;
-        s.rem[li] -= s.nun[li] as f64 * (level - s.lvl[li]).max(0.0);
-        s.lvl[li] = s.lvl[li].max(level);
-        s.nun[li] -= 1;
-        if s.nun[li] > 0 {
-            let sat = sat_level(s.rem[li], s.nun[li], s.lvl[li]);
-            s.heap.push(Reverse((sat.to_bits(), l)));
+/// and move their heap keys.
+fn freeze(sub: &Subflows, w: &mut Fill, j: usize, level: f64) {
+    w.frozen[j] = true;
+    w.alloc[j] = level;
+    for &l in sub.path(j) {
+        let l = l as usize;
+        w.rem[l] -= w.nun[l] as f64 * (level - w.lvl[l]).max(0.0);
+        w.lvl[l] = w.lvl[l].max(level);
+        w.nun[l] -= 1;
+        if w.nun[l] == 0 {
+            w.heap.remove(l);
+        } else if let Some(bits) = w.heap.key(l) {
+            let sat = sat_level(w.rem[l], w.nun[l], w.lvl[l]);
+            let key = f64::from_bits(bits);
+            if sat.to_bits() < bits || sat > key + key_tolerance(key) {
+                w.heap.set_key(l, sat.to_bits());
+            }
         }
+    }
+}
+
+/// Marks a link with no heap entry.
+const ABSENT: u32 = u32::MAX;
+
+/// Indexed binary min-heap of links ordered by `(key bits, link)`, the
+/// order of a `BinaryHeap<Reverse<(u64, u32)>>`: at most one entry per
+/// link, and a position table so a link's key moves in place.
+#[derive(Debug, Default)]
+struct LinkHeap {
+    entries: Vec<(u64, u32)>,
+    /// Heap position of each link's entry, or [`ABSENT`].
+    pos: Vec<u32>,
+}
+
+impl LinkHeap {
+    /// Empty the heap for a network of `nlinks` links.
+    fn reset(&mut self, nlinks: usize) {
+        self.entries.clear();
+        self.pos.clear();
+        self.pos.resize(nlinks, ABSENT);
+    }
+
+    /// Insert link `l`, which must not be in the heap.
+    fn push(&mut self, l: usize, key: u64) {
+        self.entries.push((key, l as u32));
+        self.sift_up(self.entries.len() - 1);
+    }
+
+    /// The link with the smallest key.
+    fn peek(&self) -> Option<usize> {
+        self.entries.first().map(|&(_, l)| l as usize)
+    }
+
+    /// Link `l`'s key, if it is in the heap.
+    fn key(&self, l: usize) -> Option<u64> {
+        match self.pos[l] {
+            ABSENT => None,
+            i => Some(self.entries[i as usize].0),
+        }
+    }
+
+    /// Change the key of link `l`, which must be in the heap.
+    fn set_key(&mut self, l: usize, key: u64) {
+        let i = self.pos[l] as usize;
+        let old = self.entries[i].0;
+        self.entries[i].0 = key;
+        if key < old {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    /// Remove link `l` if it is in the heap.
+    fn remove(&mut self, l: usize) {
+        let i = std::mem::replace(&mut self.pos[l], ABSENT);
+        if i == ABSENT {
+            return;
+        }
+        let i = i as usize;
+        let gone = self.entries.swap_remove(i);
+        if let Some(&moved) = self.entries.get(i) {
+            // The former last entry fills the hole from either side.
+            if moved < gone {
+                self.sift_up(i);
+            } else {
+                self.sift_down(i);
+            }
+        }
+    }
+
+    fn place(&mut self, i: usize, e: (u64, u32)) {
+        self.entries[i] = e;
+        self.pos[e.1 as usize] = i as u32;
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let e = self.entries[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            let p = self.entries[parent];
+            if p < e {
+                break;
+            }
+            self.place(i, p);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let n = self.entries.len();
+        let e = self.entries[i];
+        loop {
+            let mut c = 2 * i + 1;
+            if c >= n {
+                break;
+            }
+            if c + 1 < n && self.entries[c + 1] < self.entries[c] {
+                c += 1;
+            }
+            let child = self.entries[c];
+            if e < child {
+                break;
+            }
+            self.place(i, child);
+            i = c;
+        }
+        self.place(i, e);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::sim::FlowSlot;
-    use fluid::rates::RateRule;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
-    // Hand-built slots: one flow per entity layout below.
-    fn slot(paths: &[&[u32]], rtt: f64, rule: RateRule) -> FlowSlot {
-        FlowSlot::for_test(paths, rtt, rule)
+    use eventsim::SimRng;
+
+    use super::*;
+
+    /// Per-link state of [`lazy_fill`].
+    struct LazyFill<'a> {
+        sub: &'a Subflows,
+        alloc: Vec<f64>,
+        frozen: Vec<bool>,
+        rem: Vec<f64>,
+        nun: Vec<u32>,
+        lvl: Vec<f64>,
+        heap: BinaryHeap<Reverse<(u64, u32)>>,
     }
 
-    fn fill(caps: &[f64], flows: &[FlowSlot], demands: &[f64]) -> Vec<f64> {
-        let mut s = AllocScratch::new();
-        for (fi, f) in flows.iter().enumerate() {
-            for r in 0..f.num_paths() {
-                s.ent_flow.push(fi as u32);
-                s.ent_sub.push(r as u32);
+    impl LazyFill<'_> {
+        fn freeze(&mut self, j: usize, level: f64) {
+            self.frozen[j] = true;
+            self.alloc[j] = level;
+            for &l in self.sub.path(j) {
+                let li = l as usize;
+                self.rem[li] -= self.nun[li] as f64 * (level - self.lvl[li]).max(0.0);
+                self.lvl[li] = self.lvl[li].max(level);
+                self.nun[li] -= 1;
+                if self.nun[li] > 0 {
+                    let sat = sat_level(self.rem[li], self.nun[li], self.lvl[li]);
+                    self.heap.push(Reverse((sat.to_bits(), l)));
+                }
             }
         }
-        s.demand.extend_from_slice(demands);
-        let n = demands.len();
-        max_min_fill(caps, flows, &mut s, n);
-        s.alloc.clone()
+    }
+
+    /// Reference fill: a lazy `BinaryHeap` that pushes a link's new
+    /// saturation level on every freeze and, when a stale (underestimated)
+    /// entry surfaces, rekeys it instead of deciding on it. The same
+    /// arithmetic in the same order as [`max_min_fill`], without the
+    /// indexed heap's key rule; the two must agree bit for bit.
+    fn lazy_fill(caps: &[f64], sub: &Subflows) -> Vec<f64> {
+        let nsub = sub.len();
+        let mut crossing: Vec<Vec<usize>> = vec![Vec::new(); caps.len()];
+        for j in 0..nsub {
+            for &l in sub.path(j) {
+                crossing[l as usize].push(j);
+            }
+        }
+        let mut s = LazyFill {
+            sub,
+            alloc: vec![0.0; nsub],
+            frozen: vec![false; nsub],
+            rem: caps.to_vec(),
+            nun: crossing.iter().map(|c| c.len() as u32).collect(),
+            lvl: vec![0.0; caps.len()],
+            heap: BinaryHeap::new(),
+        };
+        for l in 0..caps.len() {
+            if s.nun[l] > 0 {
+                let sat = sat_level(s.rem[l], s.nun[l], 0.0);
+                s.heap.push(Reverse((sat.to_bits(), l as u32)));
+            }
+        }
+        let demand = &sub.rate;
+        let mut order: Vec<u32> = (0..nsub as u32).collect();
+        order.sort_unstable_by(|&a, &b| demand[a as usize].total_cmp(&demand[b as usize]));
+        let mut ptr = 0;
+        loop {
+            while ptr < nsub && s.frozen[order[ptr] as usize] {
+                ptr += 1;
+            }
+            if ptr >= nsub {
+                break;
+            }
+            let next_demand = demand[order[ptr] as usize];
+            let mut top = None;
+            while let Some(&Reverse((bits, l))) = s.heap.peek() {
+                let li = l as usize;
+                if s.nun[li] == 0 {
+                    s.heap.pop();
+                    continue;
+                }
+                let sat = sat_level(s.rem[li], s.nun[li], s.lvl[li]);
+                let key = f64::from_bits(bits);
+                if sat > key + key_tolerance(key) {
+                    s.heap.pop();
+                    s.heap.push(Reverse((sat.to_bits(), l)));
+                    continue;
+                }
+                top = Some((sat, li));
+                break;
+            }
+            match top {
+                Some((sat, l)) if sat < next_demand => {
+                    s.heap.pop();
+                    for &j in &crossing[l] {
+                        if !s.frozen[j] {
+                            s.freeze(j, sat);
+                        }
+                    }
+                }
+                _ => {
+                    let j = order[ptr] as usize;
+                    ptr += 1;
+                    s.freeze(j, next_demand);
+                }
+            }
+        }
+        s.alloc
+    }
+
+    /// A subflow table with one subflow per path, demanding `demands`.
+    fn table(paths: &[&[u32]], demands: &[f64]) -> Subflows {
+        let mut sub = Subflows::default();
+        sub.link_off.push(0);
+        for (path, &d) in paths.iter().zip(demands) {
+            sub.links.extend_from_slice(path);
+            sub.link_off.push(sub.links.len() as u32);
+            sub.rate.push(d);
+        }
+        sub
+    }
+
+    fn fill(caps: &[f64], paths: &[&[u32]], demands: &[f64]) -> Vec<f64> {
+        let mut w = Fill::default();
+        max_min_fill(caps, &table(paths, demands), &mut w);
+        w.alloc
     }
 
     #[test]
     fn maxmin_unconstrained_meets_demands() {
-        let flows = [slot(&[&[0]], 0.1, RateRule::Reno)];
-        let alloc = fill(&[100.0], &flows, &[30.0]);
+        let alloc = fill(&[100.0], &[&[0]], &[30.0]);
         assert!((alloc[0] - 30.0).abs() < 1e-9);
     }
 
     #[test]
     fn maxmin_shares_a_bottleneck_equally() {
-        // Two greedy entities on one 90-unit link: 45 each.
-        let flows = [
-            slot(&[&[0]], 0.1, RateRule::Reno),
-            slot(&[&[0]], 0.1, RateRule::Reno),
-        ];
-        let alloc = fill(&[90.0], &flows, &[1000.0, 1000.0]);
+        // Two greedy subflows on one 90-unit link: 45 each.
+        let alloc = fill(&[90.0], &[&[0], &[0]], &[1000.0, 1000.0]);
         assert!((alloc[0] - 45.0).abs() < 1e-9);
         assert!((alloc[1] - 45.0).abs() < 1e-9);
     }
@@ -464,12 +723,7 @@ mod tests {
     fn maxmin_redistributes_a_small_demand() {
         // Classic water filling: demands 10/1000/1000 on a 90 link
         // → 10, 40, 40.
-        let flows = [
-            slot(&[&[0]], 0.1, RateRule::Reno),
-            slot(&[&[0]], 0.1, RateRule::Reno),
-            slot(&[&[0]], 0.1, RateRule::Reno),
-        ];
-        let alloc = fill(&[90.0], &flows, &[10.0, 1000.0, 1000.0]);
+        let alloc = fill(&[90.0], &[&[0], &[0], &[0]], &[10.0, 1000.0, 1000.0]);
         assert!((alloc[0] - 10.0).abs() < 1e-9);
         assert!((alloc[1] - 40.0).abs() < 1e-9);
         assert!((alloc[2] - 40.0).abs() < 1e-9);
@@ -477,30 +731,25 @@ mod tests {
 
     #[test]
     fn maxmin_two_links_pick_the_tighter_bottleneck() {
-        // Entity 0 crosses links 0 and 1; entity 1 only link 1.
+        // Subflow 0 crosses links 0 and 1; subflow 1 only link 1.
         // Link 1 (cap 30) saturates at level 15; link 0 (cap 100) never.
-        let flows = [
-            slot(&[&[0, 1]], 0.1, RateRule::Reno),
-            slot(&[&[1]], 0.1, RateRule::Reno),
-        ];
-        let alloc = fill(&[100.0, 30.0], &flows, &[1000.0, 1000.0]);
+        let alloc = fill(&[100.0, 30.0], &[&[0, 1], &[1]], &[1000.0, 1000.0]);
         assert!((alloc[0] - 15.0).abs() < 1e-9);
         assert!((alloc[1] - 15.0).abs() < 1e-9);
     }
 
     #[test]
     fn maxmin_frees_capacity_after_a_demand_freeze() {
-        // On link 1 (cap 30): entity 1 freezes at demand 5, leaving 25 for
-        // entity 0 — which then hits link 0's share with entity 2.
-        let flows = [
-            slot(&[&[0, 1]], 0.1, RateRule::Reno),
-            slot(&[&[1]], 0.1, RateRule::Reno),
-            slot(&[&[0]], 0.1, RateRule::Reno),
-        ];
-        let alloc = fill(&[40.0, 30.0], &flows, &[1000.0, 5.0, 1000.0]);
+        // On link 1 (cap 30): subflow 1 freezes at demand 5, leaving 25 for
+        // subflow 0 — which then hits link 0's share with subflow 2.
+        let alloc = fill(
+            &[40.0, 30.0],
+            &[&[0, 1], &[1], &[0]],
+            &[1000.0, 5.0, 1000.0],
+        );
         assert!((alloc[1] - 5.0).abs() < 1e-9);
-        // Link 0: entities 0 and 2 split 40 → 20 each; link 1 would have
-        // allowed entity 0 up to 25, so link 0 binds.
+        // Link 0: subflows 0 and 2 split 40 → 20 each; link 1 would have
+        // allowed subflow 0 up to 25, so link 0 binds.
         assert!((alloc[0] - 20.0).abs() < 1e-9);
         assert!((alloc[2] - 20.0).abs() < 1e-9);
     }
@@ -510,30 +759,72 @@ mod tests {
         // Deterministic pseudo-random demand pattern over a shared chain.
         let caps = [50.0, 35.0, 80.0];
         let paths: [&[u32]; 6] = [&[0], &[0, 1], &[1, 2], &[2], &[0, 1, 2], &[1]];
-        let flows: Vec<FlowSlot> = paths
-            .iter()
-            .map(|p| slot(&[p], 0.1, RateRule::Reno))
-            .collect();
         let demands = [7.0, 60.0, 13.0, 90.0, 41.0, 3.0];
-        let alloc = fill(&caps, &flows, &demands);
+        let alloc = fill(&caps, &paths, &demands);
         let mut loads = [0.0; 3];
-        for (e, path) in paths.iter().enumerate() {
-            assert!(alloc[e] <= demands[e] + 1e-9, "entity {e} above demand");
+        for (j, path) in paths.iter().enumerate() {
+            assert!(alloc[j] <= demands[j] + 1e-9, "subflow {j} above demand");
             for &l in *path {
-                loads[l as usize] += alloc[e];
+                loads[l as usize] += alloc[j];
             }
         }
         for l in 0..3 {
             assert!(loads[l] <= caps[l] + 1e-6, "link {l} oversubscribed");
         }
-        // The allocation is maximal: every entity is demand-frozen or
+        // The allocation is maximal: every subflow is demand-frozen or
         // crosses a saturated link.
-        for (e, path) in paths.iter().enumerate() {
-            let at_demand = (alloc[e] - demands[e]).abs() < 1e-6;
+        for (j, path) in paths.iter().enumerate() {
+            let at_demand = (alloc[j] - demands[j]).abs() < 1e-6;
             let saturated = path
                 .iter()
                 .any(|&l| loads[l as usize] >= caps[l as usize] - 1e-6);
-            assert!(at_demand || saturated, "entity {e} could still grow");
+            assert!(at_demand || saturated, "subflow {j} could still grow");
+        }
+    }
+
+    #[test]
+    fn indexed_fill_matches_the_lazy_heap_bit_for_bit() {
+        // Few distinct capacities and demands, so saturation levels and
+        // demands tie exactly or to within an ulp (10/3 against 20/6 after
+        // partial freezes), and zero-capacity links saturate at level 0.
+        let third = 10.0_f64 / 3.0;
+        let cap_pool = [0.0, 1.0 / 3.0, 7.0, 10.0, 20.0, 30.0];
+        let demand_pool = [
+            0.0,
+            third,
+            third.next_down(),
+            third.next_up(),
+            7.0 / 3.0,
+            5.0,
+            1000.0,
+        ];
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut rng = SimRng::seed_from_u64(0xF111);
+        let mut w = Fill::default();
+        for case in 0..20_000 {
+            let nlinks = 2 + rng.below(10);
+            let caps: Vec<f64> = (0..nlinks)
+                .map(|_| cap_pool[rng.below(cap_pool.len())])
+                .collect();
+            let mut sub = Subflows::default();
+            sub.link_off.push(0);
+            for _ in 0..1 + rng.below(24) {
+                let mut links: Vec<u32> = (0..nlinks as u32).collect();
+                rng.shuffle(&mut links);
+                let hops = 1 + rng.below(nlinks.min(4));
+                sub.links.extend_from_slice(&links[..hops]);
+                sub.link_off.push(sub.links.len() as u32);
+                sub.rate.push(demand_pool[rng.below(demand_pool.len())]);
+            }
+            max_min_fill(&caps, &sub, &mut w);
+            assert_eq!(
+                bits(&w.alloc),
+                bits(&lazy_fill(&caps, &sub)),
+                "case {case}: caps {caps:?}, paths {:?} {:?}, demands {:?}",
+                sub.link_off,
+                sub.links,
+                sub.rate
+            );
         }
     }
 }

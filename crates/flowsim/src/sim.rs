@@ -15,7 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use eventsim::{SimDuration, SimTime};
+use eventsim::{EventQueue, SimDuration, SimTime};
 use fluid::rates::RateRule;
 use trace::{TraceEvent, Tracer};
 
@@ -95,42 +95,14 @@ impl FlowSlot {
     pub(crate) fn path_links(&self, r: usize) -> &[u32] {
         &self.links[self.path_off[r] as usize..self.path_off[r + 1] as usize]
     }
-
-    #[cfg(test)]
-    pub(crate) fn for_test(paths: &[&[u32]], rtt: f64, rule: RateRule) -> FlowSlot {
-        let mut links = Vec::new();
-        let mut off = vec![0u32];
-        for p in paths {
-            links.extend_from_slice(p);
-            off.push(links.len() as u32);
-        }
-        let n = paths.len();
-        FlowSlot {
-            conn: 0,
-            rule,
-            links: links.into_boxed_slice(),
-            path_off: off.into_boxed_slice(),
-            rtts: vec![rtt; n].into_boxed_slice(),
-            rates: vec![0.0; n].into_boxed_slice(),
-            goodput: 0.0,
-            size: f64::INFINITY,
-            remaining: f64::INFINITY,
-            delivered: 0.0,
-            accrued_at: SimTime::ZERO,
-            active: false,
-            gen: 0,
-            active_pos: 0,
-        }
-    }
 }
 
 /// Scheduled state changes (completions live in their own heap).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum Ev {
     Start(u32),
-    /// Link index and the new capacity (pkts/s) as raw bits, keeping the
-    /// event `Ord`.
-    Capacity(u32, u64),
+    /// Link index and the new capacity, pkts/s.
+    Capacity(u32, f64),
     Recompute,
 }
 
@@ -177,8 +149,7 @@ pub struct FlowSim {
     flows: Vec<FlowSlot>,
     free: Vec<u32>,
     active: Vec<u32>,
-    events: BinaryHeap<Reverse<(SimTime, u64, Ev)>>,
-    seq: u64,
+    events: EventQueue<Ev>,
     completions: BinaryHeap<Reverse<(SimTime, u32, u32)>>,
     now: SimTime,
     dirty: bool,
@@ -214,14 +185,13 @@ impl FlowSim {
             flows: Vec::new(),
             free: Vec::new(),
             active: Vec::new(),
-            events: BinaryHeap::new(),
-            seq: 0,
+            events: EventQueue::new(),
             completions: BinaryHeap::new(),
             now: SimTime::ZERO,
             dirty: false,
             recompute_pending: false,
             last_recompute: SimTime::ZERO,
-            scratch: AllocScratch::new(),
+            scratch: AllocScratch::default(),
             link_loss: vec![0.0; nlinks],
             finished_scratch: Vec::new(),
             tracer: Tracer::disabled(),
@@ -303,7 +273,7 @@ impl FlowSim {
         assert!(t >= self.now, "cannot start a flow in the past");
         let f = self.slot(flow);
         assert!(!f.active, "flow already started");
-        self.push_event(t, Ev::Start(flow.slot));
+        self.events.schedule(t, Ev::Start(flow.slot));
     }
 
     /// Schedule link `l` to change capacity to `mbps` at `t` — the
@@ -312,7 +282,7 @@ impl FlowSim {
         assert!(t >= self.now, "cannot change capacity in the past");
         assert!(self.net.contains(l), "unknown link {}", l.index());
         let pps = crate::net::mbps_to_pps(mbps);
-        self.push_event(t, Ev::Capacity(l.0, pps.to_bits()));
+        self.events.schedule(t, Ev::Capacity(l.0, pps));
     }
 
     /// Advance simulated time to `until`, processing every event and
@@ -321,7 +291,7 @@ impl FlowSim {
         assert!(until >= self.now, "time runs forward");
         loop {
             let next_done = self.peek_completion();
-            let next_ev = self.events.peek().map(|&Reverse((t, _, _))| t);
+            let next_ev = self.events.peek_time();
             // Completions run before same-time events so a recompute at t
             // sees the post-completion population.
             let take_completion = match (next_done, next_ev) {
@@ -352,7 +322,7 @@ impl FlowSim {
                     break;
                 }
                 self.now = t;
-                if let Some(Reverse((_, _, ev))) = self.events.pop() {
+                if let Some((_, ev)) = self.events.pop() {
                     self.events_processed += 1;
                     self.handle(ev, t);
                 }
@@ -432,11 +402,6 @@ impl FlowSim {
         f
     }
 
-    fn push_event(&mut self, t: SimTime, ev: Ev) {
-        self.events.push(Reverse((t, self.seq, ev)));
-        self.seq += 1;
-    }
-
     /// Earliest still-valid completion time (drops stale entries).
     fn peek_completion(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((t, fi, gen))) = self.completions.peek() {
@@ -467,8 +432,8 @@ impl FlowSim {
                 self.peak_active = self.peak_active.max(self.active.len());
                 self.mark_dirty(t);
             }
-            Ev::Capacity(l, bits) => {
-                self.net.set_capacity_pps(LinkId(l), f64::from_bits(bits));
+            Ev::Capacity(l, pps) => {
+                self.net.set_capacity_pps(LinkId(l), pps);
                 self.mark_dirty(t);
             }
             Ev::Recompute => {
@@ -484,7 +449,7 @@ impl FlowSim {
         self.dirty = true;
         if !self.recompute_pending {
             let due = (self.last_recompute + self.cfg.recompute_gap).max(t);
-            self.push_event(due, Ev::Recompute);
+            self.events.schedule(due, Ev::Recompute);
             self.recompute_pending = true;
         }
     }
