@@ -6,11 +6,13 @@ cd "$(dirname "$0")"
 
 cargo build --release --offline
 
-# Tests: tolerate exactly the failures already present in the growth seed
+# Tests: every package in the workspace (a bare `cargo test` at the root of
+# this non-virtual workspace would run only the root package's tests).
+# Tolerate exactly the failures already present in the growth seed
 # (tests/known_seed_failures.txt) and fail on any NEW failure, so "no worse
 # than the seed" is machine-checked rather than eyeballed.
 test_log=$(mktemp)
-if cargo test -q --offline --no-fail-fast >"$test_log" 2>&1; then
+if cargo test --workspace -q --offline --no-fail-fast >"$test_log" 2>&1; then
     echo "ci: all tests pass"
 else
     grep -E '^[A-Za-z0-9_:]+ --- FAILED$' "$test_log" | sed 's/ --- FAILED//' | sort -u >"$test_log.failed"
@@ -114,34 +116,23 @@ rm -rf results/chaos/ci-gate
     --out results/chaos/ci-gate
 ./target/release/validate_report --strict results/chaos/ci-gate
 
-# Perf-behaviour gate: recompute the three perf-scenario trace digests and
-# compare them to the goldens recorded in BENCH_eventloop.json. Digests are
-# machine-independent (pure event-sequence hashes), so this catches any
-# behaviour change smuggled in as an "optimization" without timing anything.
-# The tracked report itself must also stay schema-valid.
-./target/release/validate_report BENCH_eventloop.json
-./target/release/perf_eventloop --check BENCH_eventloop.json
-
-# Scale gate: same contract for the production-scale scenarios tracked in
-# BENCH_scale.json (k=8/k=16 FatTree permutations). --check recomputes the
-# trace digests (byte-for-byte) and re-measures bytes/connection against the
-# recorded values with 1.25x slack, so both a behaviour change and a memory
-# regression in the arena/pool/lazy-build path fail CI. Wall-clock numbers
-# in the report are informational only — never compared.
-./target/release/validate_report BENCH_scale.json
-./target/release/perf_scale --check BENCH_scale.json
+# Perf-behaviour gate: the tracked perf report (BENCH_perf.json) must stay
+# schema-valid, and `perf --check` re-runs its checked scenarios: the
+# scenario_b/fattree/flap, k16_perm and flow_check trace digests must match
+# the recorded goldens byte-for-byte, and k16_perm's bytes/connection and
+# flow_check's bytes/flow must stay within 1.25x of their recorded budgets.
+# Digests and allocation sizes are machine-independent, so this catches a
+# behaviour change smuggled in as an "optimization", or a memory
+# regression, without timing anything.
+./target/release/validate_report BENCH_perf.json
+./target/release/perf --check BENCH_perf.json
 
 # Flow-backend gate: the flow-level simulator must keep agreeing with the
 # packet simulator (scenarios A/B/C and the k=8 FatTree, every headline
 # metric within the ±10% tolerance documented in DESIGN.md "Flow-level
-# backend"), and the population-scale churn report tracked in
-# BENCH_flowscale.json must stay schema-valid with a reproducible
-# flow_check trace digest and no >1.25x memory-per-flow regression. The
-# cross-validation tests are release-only (#[ignore] in debug) because the
-# packet runs take minutes unoptimized.
+# backend"). The cross-validation tests are release-only (#[ignore] in
+# debug) because the packet runs take minutes unoptimized.
 cargo test --release --offline --test flow_crossval -- --include-ignored
-./target/release/validate_report BENCH_flowscale.json
-./target/release/perf_flowscale --check BENCH_flowscale.json
 
 # Benchmark-behaviour gate: the repository benchmark (perfbench/, see
 # BENCHMARK.json) runs its self-tests, then one short run of each workload

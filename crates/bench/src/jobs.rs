@@ -544,7 +544,7 @@ fn fattree_shortflows_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Production-scale FatTree (the perf_scale regime, as orchestrated jobs)
+// Production-scale FatTree (`perf`'s k16_perm regime, as orchestrated jobs)
 // ---------------------------------------------------------------------------
 
 /// The k=16 permutation point: 1024 hosts, the scale the arena/pool work

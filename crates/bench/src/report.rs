@@ -26,7 +26,7 @@
 //! v2 adds the optional `profile.percentiles` section — tail percentiles
 //! of every histogram snapshot into the report (the sweep explorer's
 //! per-point pages surface them). [`validate`] accepts both versions, so
-//! tracked v1 artifacts (`BENCH_*.json`) stay valid.
+//! v1 artifacts (orchestra's per-job reports among them) stay valid.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -43,7 +43,7 @@ use crate::table::Table;
 pub const SCHEMA: &str = "mptcp-run-report/v2";
 
 /// The previous run-report version, still accepted by [`validate`] so
-/// tracked baselines (e.g. `BENCH_eventloop.json`) keep validating.
+/// v1 reports (e.g. orchestra's per-job reports) keep validating.
 pub const SCHEMA_V1: &str = "mptcp-run-report/v1";
 
 /// Version tag of the cross-seed sweep reports `orchestra` emits (see

@@ -337,9 +337,7 @@ pub struct ChurnResult {
 }
 
 /// The population-scale experiment the packet backend cannot run: install
-/// `resident` long-lived MPTCP connections over repeated permutation
-/// patterns, overlay Poisson churn with `workload::HeavyTailMix` sizes,
-/// and run to the horizon.
+/// the [`install_churn`] workload and run it to the horizon.
 pub fn heavytail_churn(
     p: &ChurnParams,
     ftcfg: &FlowFatTreeConfig,
@@ -347,11 +345,33 @@ pub fn heavytail_churn(
 ) -> ChurnResult {
     let mut net = FlowNet::new();
     let ft = FlowFatTree::build(&mut net, p.k, ftcfg);
-    let hosts = ft.num_hosts();
-    assert!(hosts >= 2, "need at least two hosts");
     let mut sim = FlowSim::new(net, simcfg);
     let (tracer, sink) = Tracer::to_sink(DigestSink::new());
     sim.set_tracer(tracer);
+    let planned_churn = install_churn(&mut sim, &ft, p);
+    sim.run_until(SimTime::ZERO + p.horizon);
+    let s = sink.borrow();
+    ChurnResult {
+        resident: p.resident,
+        planned_churn,
+        started: sim.started_flows(),
+        completed: sim.completed_flows(),
+        peak_active: sim.peak_active(),
+        events: sim.events_processed(),
+        recomputes: sim.recomputes(),
+        digest: s.digest(),
+        trace_events: s.events(),
+    }
+}
+
+/// Install the churn experiment's workload on `sim` without running it:
+/// `resident` long-lived MPTCP connections over repeated permutation
+/// patterns, then Poisson churn with `workload::HeavyTailMix` sizes up to
+/// the horizon, all drawn from one RNG stream seeded `p.seed ^ 0x5CA1E`.
+/// Returns the number of churn flows planned.
+pub fn install_churn(sim: &mut FlowSim, ft: &FlowFatTree, p: &ChurnParams) -> usize {
+    let hosts = ft.num_hosts();
+    assert!(hosts >= 2, "need at least two hosts");
     let mut rng = SimRng::seed_from_u64(p.seed ^ 0x5CA1E);
 
     // Resident population: repeated random permutations until the target,
@@ -364,16 +384,7 @@ pub fn heavytail_churn(
             if resident >= p.resident {
                 break;
             }
-            let f = ft.connect(
-                &mut sim,
-                h,
-                dst,
-                p.algorithm,
-                p.subflows,
-                None,
-                &mut rng,
-                conn,
-            );
+            let f = ft.connect(sim, h, dst, p.algorithm, p.subflows, None, &mut rng, conn);
             let jitter = SimDuration::from_secs_f64(rng.f64());
             sim.start_at(f, SimTime::ZERO + jitter);
             conn += 1;
@@ -395,7 +406,7 @@ pub fn heavytail_churn(
     );
     for spec in &plan {
         let f = ft.connect(
-            &mut sim,
+            sim,
             spec.src,
             spec.dst,
             p.algorithm,
@@ -407,20 +418,7 @@ pub fn heavytail_churn(
         sim.start_at(f, SimTime::ZERO + SimDuration::from_secs_f64(spec.start_s));
         conn += 1;
     }
-
-    sim.run_until(SimTime::ZERO + p.horizon);
-    let s = sink.borrow();
-    ChurnResult {
-        resident,
-        planned_churn: plan.len(),
-        started: sim.started_flows(),
-        completed: sim.completed_flows(),
-        peak_active: sim.peak_active(),
-        events: sim.events_processed(),
-        recomputes: sim.recomputes(),
-        digest: s.digest(),
-        trace_events: s.events(),
-    }
+    plan.len()
 }
 
 #[cfg(test)]

@@ -268,7 +268,7 @@ impl Simulation {
     /// correctness.
     pub fn preallocate(&mut self) {
         let endpoints = self.endpoints.len();
-        // Right-sized from measurement (see BENCH_scale.json): the event
+        // Right-sized from measurement (see BENCH_perf.json): the event
         // heap and packet arena grow to workload-dependent peaks during the
         // run regardless of what is reserved here, so big speculative
         // reserves only bloat setup memory — at k=16 the old

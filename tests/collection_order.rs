@@ -84,7 +84,7 @@ const GOLDEN_DIGEST: u64 = 0x7187_b539_9b5e_f26a;
 // Scale-architecture differentials: the route interner, the connection-state
 // ring pool, and the lazy topology build are all *representation* changes and
 // must leave traces byte-identical. Each scenario below pins a golden digest
-// (the interner/pool/lazy-build-era `perf_scale` run verified these equal the
+// (the interner/pool/lazy-build-era perf harness verified these equal the
 // pre-arena tree at full horizon) so future arena work that perturbs
 // behaviour fails here, close to the cause, instead of in the paper numbers.
 // ---------------------------------------------------------------------------
@@ -123,9 +123,10 @@ fn scenario_b_trace_digest_pinned() {
 
 const SCENARIO_B_DIGEST: &str = "f6ecd1d6158f14df";
 
-/// Digest one seeded k=8 FatTree permutation slice — the `perf_scale`
-/// recipe (OLIA ×4 subflows, every host sending) at a short horizon so the
-/// differential stays cheap enough for the debug test profile.
+/// Digest one seeded k=8 FatTree permutation slice — the `perf` harness's
+/// `k8_perm` recipe (OLIA ×4 subflows, every host sending) at a short
+/// horizon so the differential stays cheap enough for the debug test
+/// profile.
 fn fattree_digest(k: usize, secs: f64, seed: u64, eager: bool) -> (String, u64) {
     let mut sim = Simulation::new(seed);
     let (tracer, sink) = Tracer::to_sink(DigestSink::new());
