@@ -44,6 +44,10 @@ rm -f "$test_log" "$test_log.failed" "$test_log.known"
 cargo fmt --check
 cargo clippy --offline --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve to exactly one item, so a
+# deletion cannot leave a dangling [`name`] behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Static-analysis gate: the workspace must lint clean under simlint
 # (R1–R11 plus the A1–A3 suppression audit, see DESIGN.md "Static analysis
 # & determinism rules"). Any unsuppressed finding fails the gate; the JSON

@@ -1,43 +1,44 @@
-//! Tracked perf harness: one scenario table, one pass loop, one check.
+//! Tracked perf record: one scenario table, one check.
 //!
 //! The table ([`SCENARIOS`]) covers three regimes:
 //!
-//! * event-loop cost on small pinned packet scenarios: `scenario_b` (the
+//! * the event loop on small pinned packet scenarios: `scenario_b` (the
 //!   paper's Scenario B at quick scale), `fattree` (a k = 4 Fig. 13 slice)
 //!   and `flap` (the dc_robustness two-path dumbbell with a scripted link
 //!   flap);
 //! * packet-level scale: `k8_perm` / `k16_perm` permutation traffic (bytes
-//!   per connection, peak live bytes, route-arena occupancy) and
-//!   `build.k8` / `build.k16` / `build.k32`, the lazy topology build alone;
+//!   of the lazy topology build, bytes per connection, peak live bytes,
+//!   route-arena occupancy);
 //! * flow-level scale: `flow_check` (k = 8, 2 000 resident flows) and
 //!   `flow_100k` (k = 16, 10⁵ resident flows) under heavy-tailed churn, as
 //!   installed by `flowsim::fattree::install_churn`.
 //!
-//! Every scenario runs [`PASSES`] untraced perf passes and one traced
-//! digest pass. Each pass starts from an empty route arena and ring pool
-//! and snapshots a counting allocator at the phase boundaries the scenario
-//! marks (topology built, workload installed, run finished). Timings come
-//! from the fastest pass and every other figure from the last one, so
-//! counts and bytes repeat exactly from run to run. The digest pass folds
-//! the full JSONL trace into an FNV-1a digest: the behaviour contract that
-//! an optimization must leave byte-identical.
+//! Every row runs one traced digest pass, then one untraced counting pass.
+//! Each pass starts from an empty route arena and ring pool and snapshots a
+//! counting allocator at the phase boundaries the scenario marks (topology
+//! built, workload installed, run finished). The digest pass folds the full
+//! JSONL trace into an FNV-1a digest: the behaviour contract that an
+//! optimization must leave byte-identical. It also pays for one-time
+//! thread-local state such as tcpsim's interned configs, so the counting
+//! pass's counts and bytes repeat exactly from run to run.
+//!
+//! Nothing here is timed; the repository benchmark (`perfbench/`) owns
+//! wall-clock figures. The report's profile carries zero wall-clock fields
+//! ([`RunReport::finish_timeless`]), so the tracked record changes only
+//! when behaviour or memory does.
 //!
 //! Usage:
 //!
 //! ```text
-//! perf                                  # run, write results/perf.json
-//! perf --out BENCH_perf.json --baseline-from old.json
-//! perf --check BENCH_perf.json          # digests + byte budgets only
+//! perf --out BENCH_perf.json      # run every row, write the record
+//! perf --check BENCH_perf.json    # checked rows: digests + byte budgets
 //! ```
 //!
 //! The report follows the `mptcp-run-report/v2` schema (`validate_report`
 //! accepts it): figures are `metrics.<scenario>.<figure>`, goldens are
-//! `params.digest.<scenario>`. `--baseline-from` copies an earlier
-//! report's metrics in as `baseline.*` and derives `speedup.<scenario>`
-//! (events/sec ratio) and `shrink.<scenario>` (install-bytes ratio).
-//! `--check` is timing-free: it re-runs the checked scenarios and fails if
-//! a digest drifted or an install-bytes figure exceeds [`SLACK`] times its
-//! recorded budget.
+//! `params.digest.<scenario>`. `--check` re-runs the checked scenarios and
+//! fails if a digest drifted or an install-bytes figure exceeds [`SLACK`]
+//! times its recorded budget.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -49,7 +50,6 @@ use eventsim::{SimDuration, SimRng, SimTime};
 use flowsim::fattree::{install_churn, ChurnParams, FlowFatTree};
 use flowsim::{FlowFatTreeConfig, FlowNet, FlowSim, FlowSimConfig};
 use mpsim_core::Algorithm;
-use netsim::profile::RunProfile;
 use netsim::{route, FaultPlan, QueueConfig, Simulation};
 use tcpsim::{Connection, ConnectionSpec, PathSpec, TcpConfig};
 use topo::{FatTree, FatTreeConfig, ScenarioB, ScenarioBParams};
@@ -104,11 +104,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Untraced perf passes per scenario. Timings come from the fastest pass;
-/// counts and bytes from the last, after the first has paid for one-time
-/// thread-local state such as tcpsim's interned configs.
-const PASSES: usize = 3;
-
 /// `--check` tolerates this much growth over a recorded install-bytes
 /// budget. Allocation sizes are deterministic, so the slack only absorbs
 /// standard-library differences across toolchain versions.
@@ -118,7 +113,7 @@ const SLACK: f64 = 1.25;
 struct Scenario {
     name: &'static str,
     seed: u64,
-    /// Simulated horizon, seconds (0 for the build-only rows).
+    /// Simulated horizon, seconds.
     horizon_s: f64,
     workload: Workload,
     /// `--check` re-verifies this row's digest, and its install-bytes
@@ -135,8 +130,6 @@ enum Workload {
     /// long-lived OLIA connection with `subflows` subflows to a distinct
     /// host, starts jittered over the first quarter of the horizon.
     Perm { k: usize, subflows: usize },
-    /// The k-ary packet FatTree's build alone; carries no traffic.
-    Build { k: usize },
     /// Flow-level FatTree: `resident` long-lived OLIA flows plus Poisson
     /// heavy-tailed churn, one arrival per host every `mean_gap_ms` on
     /// average.
@@ -148,20 +141,15 @@ enum Workload {
     },
 }
 
-use Workload::{Build, Churn, Loop, Perm};
+use Workload::{Churn, Loop, Perm};
 
 impl Workload {
-    /// Whether a run emits a trace, and so has a digest.
-    fn traced(&self) -> bool {
-        !matches!(self, Build { .. })
-    }
-
     /// The install-bytes figure `--check` holds to a budget.
     fn budget(&self) -> Option<&'static str> {
         match self {
             Perm { .. } => Some("bytes_per_conn"),
             Churn { .. } => Some("bytes_per_flow"),
-            Loop(_) | Build { .. } => None,
+            Loop(_) => None,
         }
     }
 }
@@ -201,27 +189,6 @@ const SCENARIOS: &[Scenario] = &[
         horizon_s: 0.2,
         workload: Perm { k: 16, subflows: 4 },
         checked: true,
-    },
-    Scenario {
-        name: "build.k8",
-        seed: 0xB11D ^ 8,
-        horizon_s: 0.0,
-        workload: Build { k: 8 },
-        checked: false,
-    },
-    Scenario {
-        name: "build.k16",
-        seed: 0xB11D ^ 16,
-        horizon_s: 0.0,
-        workload: Build { k: 16 },
-        checked: false,
-    },
-    Scenario {
-        name: "build.k32",
-        seed: 0xB11D ^ 32,
-        horizon_s: 0.0,
-        workload: Build { k: 32 },
-        checked: false,
     },
     Scenario {
         name: "flow_check",
@@ -326,16 +293,13 @@ impl Snapshot {
     }
 }
 
-/// Phase boundaries of one pass: allocator snapshots and wall times. A
-/// phase the scenario never marks keeps the pass-start snapshot.
+/// Allocator snapshots at the phase boundaries of one pass. A phase the
+/// scenario never marks keeps the pass-start snapshot.
 struct Meter {
-    clock: RunProfile,
     start: Snapshot,
     built: Snapshot,
     installed: Snapshot,
     ran: Snapshot,
-    build_wall_s: f64,
-    run_wall_s: f64,
 }
 
 impl Meter {
@@ -349,19 +313,15 @@ impl Meter {
         PEAK.store(LIVE.load(Relaxed), Relaxed);
         let start = Snapshot::now();
         Meter {
-            clock: RunProfile::start(),
             start,
             built: start,
             installed: start,
             ran: start,
-            build_wall_s: 0.0,
-            run_wall_s: 0.0,
         }
     }
 
     /// The topology is built.
     fn built(&mut self) {
-        self.build_wall_s = self.clock.finish().wall_s;
         self.built = Snapshot::now();
     }
 
@@ -370,11 +330,8 @@ impl Meter {
         self.installed = Snapshot::now();
     }
 
-    /// Run (and time) the run phase.
-    fn run(&mut self, run: impl FnOnce()) {
-        let clock = RunProfile::start();
-        run();
-        self.run_wall_s = clock.finish().wall_s;
+    /// The run has reached its horizon.
+    fn ran(&mut self) {
         self.ran = Snapshot::now();
     }
 
@@ -389,30 +346,14 @@ impl Meter {
     fn peak_live_bytes(&self) -> f64 {
         (self.ran.peak - self.start.live) as f64
     }
-
-    /// `count` per wall second of the run phase.
-    fn rate(&self, count: f64) -> f64 {
-        count / self.run_wall_s.max(1e-9)
-    }
 }
 
-/// One pass's figures: `exact` counts and bytes, identical on every run of
-/// the same build, and machine-dependent `timing`.
-#[derive(Default)]
-struct Metrics {
-    exact: Vec<(&'static str, f64)>,
-    timing: Vec<(&'static str, f64)>,
-}
-
-impl Metrics {
-    fn get(&self, key: &str) -> Option<f64> {
-        let mut all = self.exact.iter().chain(&self.timing);
-        all.find(|(k, _)| *k == key).map(|&(_, v)| v)
-    }
-}
+/// One pass's figures: counts and bytes, identical on every run of the
+/// same build.
+type Figures = Vec<(&'static str, f64)>;
 
 /// One pass of `s` with `tracer` attached.
-fn pass(s: &Scenario, tracer: &Tracer) -> Metrics {
+fn pass(s: &Scenario, tracer: &Tracer) -> Figures {
     let mut m = Meter::start();
     let run_for = SimDuration::from_secs_f64(s.horizon_s);
     let horizon = SimTime::ZERO + run_for;
@@ -421,30 +362,23 @@ fn pass(s: &Scenario, tracer: &Tracer) -> Metrics {
             let mut sim = Simulation::new(s.seed);
             sim.set_tracer(tracer.clone());
             install(&mut sim, s.seed);
-            m.run(|| sim.run_until(horizon));
+            sim.run_until(horizon);
+            m.ran();
             let l = sim.loop_stats();
-            let events = sim.events_processed() as f64;
-            Metrics {
-                exact: vec![
-                    ("events", events),
-                    ("allocs", (m.ran.allocs - m.start.allocs) as f64),
-                    (
-                        "alloc_bytes",
-                        (m.ran.alloc_bytes - m.start.alloc_bytes) as f64,
-                    ),
-                    ("peak_heap", l.peak_heap as f64),
-                    ("peak_arena", l.peak_arena as f64),
-                    ("arena_live_end", l.arena_live as f64),
-                    ("arena_inserts", l.arena_inserts as f64),
-                    ("peak_timers", l.peak_timers as f64),
-                    ("stale_timer_drains", l.stale_timer_drains as f64),
-                ],
-                timing: vec![
-                    ("events_per_sec", m.rate(events)),
-                    ("sim_wall_ratio", m.rate(s.horizon_s)),
-                    ("wall_s", m.run_wall_s),
-                ],
-            }
+            vec![
+                ("events", sim.events_processed() as f64),
+                ("allocs", (m.ran.allocs - m.start.allocs) as f64),
+                (
+                    "alloc_bytes",
+                    (m.ran.alloc_bytes - m.start.alloc_bytes) as f64,
+                ),
+                ("peak_heap", l.peak_heap as f64),
+                ("peak_arena", l.peak_arena as f64),
+                ("arena_live_end", l.arena_live as f64),
+                ("arena_inserts", l.arena_inserts as f64),
+                ("peak_timers", l.peak_timers as f64),
+                ("stale_timer_drains", l.stale_timer_drains as f64),
+            ]
         }
         Perm { k, subflows } => {
             let mut sim = Simulation::new(s.seed);
@@ -468,53 +402,31 @@ fn pass(s: &Scenario, tracer: &Tracer) -> Metrics {
             }
             m.installed();
             let (routes, route_hops) = netsim::routes::store_stats();
-            m.run(|| sim.run_until(horizon));
+            sim.run_until(horizon);
+            m.ran();
             let delivered: u64 = conns
                 .iter()
                 .map(|c| c.handle.read(|f| f.delivered_packets))
                 .sum();
             let n = conns.len() as f64;
             let l = sim.loop_stats();
-            let events = sim.events_processed() as f64;
-            Metrics {
-                exact: vec![
-                    ("conns", n),
-                    ("events", events),
-                    ("topo_bytes", m.topo_bytes()),
-                    ("bytes_per_conn", m.install_bytes() / n),
-                    (
-                        "peak_bytes_per_conn",
-                        (m.peak_live_bytes() - m.topo_bytes()) / n,
-                    ),
-                    ("peak_live_bytes", m.peak_live_bytes()),
-                    ("delivered", delivered as f64),
-                    ("routes", routes as f64),
-                    ("route_hops", route_hops as f64),
-                    ("peak_heap", l.peak_heap as f64),
-                    ("peak_arena", l.peak_arena as f64),
-                    ("peak_timers", l.peak_timers as f64),
-                ],
-                timing: vec![
-                    ("events_per_sec", m.rate(events)),
-                    ("wall_s", m.run_wall_s),
-                    ("build_wall_s", m.build_wall_s),
-                ],
-            }
-        }
-        Build { k } => {
-            let mut sim = Simulation::new(s.seed);
-            let ft = FatTree::build(&mut sim, k, &FatTreeConfig::default());
-            m.built();
-            std::hint::black_box(&ft);
-            Metrics {
-                // An eager build would materialize 2 queues per host plus 2
-                // per edge-agg and agg-core link: 3k³/2.
-                exact: vec![
-                    ("queues", (3 * k * k * k / 2) as f64),
-                    ("topo_bytes", m.topo_bytes()),
-                ],
-                timing: vec![("build_wall_s", m.build_wall_s)],
-            }
+            vec![
+                ("conns", n),
+                ("events", sim.events_processed() as f64),
+                ("topo_bytes", m.topo_bytes()),
+                ("bytes_per_conn", m.install_bytes() / n),
+                (
+                    "peak_bytes_per_conn",
+                    (m.peak_live_bytes() - m.topo_bytes()) / n,
+                ),
+                ("peak_live_bytes", m.peak_live_bytes()),
+                ("delivered", delivered as f64),
+                ("routes", routes as f64),
+                ("route_hops", route_hops as f64),
+                ("peak_heap", l.peak_heap as f64),
+                ("peak_arena", l.peak_arena as f64),
+                ("peak_timers", l.peak_timers as f64),
+            ]
         }
         Churn {
             k,
@@ -538,55 +450,50 @@ fn pass(s: &Scenario, tracer: &Tracer) -> Metrics {
             };
             let planned_churn = install_churn(&mut sim, &ft, &p);
             m.installed();
-            m.run(|| sim.run_until(horizon));
+            sim.run_until(horizon);
+            m.ran();
             let flows = (resident + planned_churn) as f64;
-            let events = sim.events_processed() as f64;
-            Metrics {
-                exact: vec![
-                    ("flows", flows),
-                    ("resident", resident as f64),
-                    ("planned_churn", planned_churn as f64),
-                    ("events", events),
-                    ("recomputes", sim.recomputes() as f64),
-                    ("started", sim.started_flows() as f64),
-                    ("completed", sim.completed_flows() as f64),
-                    ("peak_active", sim.peak_active() as f64),
-                    ("topo_bytes", m.topo_bytes()),
-                    ("bytes_per_flow", m.install_bytes() / flows),
-                    ("peak_live_bytes", m.peak_live_bytes()),
-                ],
-                timing: vec![("events_per_sec", m.rate(events)), ("wall_s", m.run_wall_s)],
-            }
+            vec![
+                ("flows", flows),
+                ("resident", resident as f64),
+                ("planned_churn", planned_churn as f64),
+                ("events", sim.events_processed() as f64),
+                ("recomputes", sim.recomputes() as f64),
+                ("started", sim.started_flows() as f64),
+                ("completed", sim.completed_flows() as f64),
+                ("peak_active", sim.peak_active() as f64),
+                ("topo_bytes", m.topo_bytes()),
+                ("bytes_per_flow", m.install_bytes() / flows),
+                ("peak_live_bytes", m.peak_live_bytes()),
+            ]
         }
     }
 }
 
-/// [`PASSES`] untraced passes: timings from the fastest, everything else
-/// from the last.
-fn measure(s: &Scenario) -> Metrics {
-    let mut fastest = (f64::INFINITY, Vec::new());
-    let mut last = Metrics::default();
-    for _ in 0..PASSES {
-        let clock = RunProfile::start();
-        last = pass(s, &Tracer::disabled());
-        let wall_s = clock.finish().wall_s;
-        if wall_s < fastest.0 {
-            fastest = (wall_s, last.timing.clone());
-        }
-    }
-    last.timing = fastest.1;
-    last
+/// One row's record: the hex digest and byte length of its full JSONL
+/// trace (byte-for-byte what a `JsonlSink` would have written, see
+/// `trace::DigestSink`), and the figures of the untraced counting pass
+/// that follows the traced one.
+struct Measured {
+    digest: String,
+    trace_bytes: u64,
+    figures: Figures,
 }
 
-/// Traced pass: the full JSONL trace folded into FNV-1a (byte-for-byte
-/// what a `JsonlSink` would have written, see `trace::DigestSink`), as
-/// `(hex digest, trace bytes)`.
-fn digest(s: &Scenario) -> (String, u64) {
-    let (tracer, sink) = Tracer::to_sink(DigestSink::new());
-    pass(s, &tracer);
-    drop(tracer);
-    let sink = sink.borrow();
-    (sink.hex(), sink.bytes())
+/// Run `s`'s traced digest pass, then its untraced counting pass.
+fn measure(s: &Scenario) -> Measured {
+    let (digest, trace_bytes) = {
+        let (tracer, sink) = Tracer::to_sink(DigestSink::new());
+        pass(s, &tracer);
+        drop(tracer);
+        let sink = sink.borrow();
+        (sink.hex(), sink.bytes())
+    };
+    Measured {
+        digest,
+        trace_bytes,
+        figures: pass(s, &Tracer::disabled()),
+    }
 }
 
 /// Compare one re-measured scenario with the tracked report `doc`: the
@@ -623,16 +530,11 @@ fn verdict(doc: &Json, name: &str, digest: &str, bytes: Option<(&str, f64)>) -> 
     failures
 }
 
-/// Read and parse the report at `path`.
-fn load(path: &str) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
 /// `--check`: re-run every checked scenario against the goldens and
 /// budgets recorded in the report at `path`. Returns the exit code.
 fn check(path: &str) -> i32 {
-    let doc = match load(path) {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    let doc = match text.and_then(|t| parse(&t).map_err(|e| format!("cannot parse {path}: {e}"))) {
         Ok(doc) => doc,
         Err(e) => {
             eprintln!("perf: {e}");
@@ -641,16 +543,19 @@ fn check(path: &str) -> i32 {
     };
     let mut failed = 0;
     for s in SCENARIOS.iter().filter(|s| s.checked) {
+        let m = measure(s);
         let bytes = s.workload.budget().map(|key| {
-            let m = pass(s, &Tracer::disabled());
-            let value = m.get(key).expect("a budgeted workload reports its figure");
-            (key, value)
+            let figure = m.figures.iter().find(|(k, _)| *k == key);
+            (
+                key,
+                figure.expect("a budgeted workload reports its figure").1,
+            )
         });
-        let (hex, _) = digest(s);
-        let failures = verdict(&doc, s.name, &hex, bytes);
+        let failures = verdict(&doc, s.name, &m.digest, bytes);
         if failures.is_empty() {
             let budget = bytes.map(|(key, v)| format!(", {key} {v:.1}"));
-            println!("{}: digest {hex}{} OK", s.name, budget.unwrap_or_default());
+            let budget = budget.unwrap_or_default();
+            println!("{}: digest {}{budget} OK", s.name, m.digest);
         } else {
             failed += 1;
             for f in &failures {
@@ -667,117 +572,52 @@ fn check(path: &str) -> i32 {
     }
 }
 
-/// Copy an earlier report's own metrics in as `baseline.*` and derive
-/// `speedup.<name>` (events/sec now over then) and `shrink.<name>`
-/// (install bytes then over now) for the scenarios both reports have.
-fn merge_baseline(report: &mut RunReport, measured: &[(&Scenario, Metrics)], path: &str) {
-    let doc = load(path).unwrap_or_else(|e| panic!("baseline: {e}"));
-    let metrics = doc
-        .get("metrics")
-        .and_then(Json::as_object)
-        .unwrap_or_else(|| panic!("baseline {path} has no metrics object"));
-    for (k, v) in metrics {
-        let derived = ["baseline.", "speedup.", "shrink."];
-        if derived.iter().any(|p| k.starts_with(p)) {
-            continue; // don't chain baselines of baselines
-        }
-        if let Some(x) = v.as_f64() {
-            report.metric(&format!("baseline.{k}"), x);
-        }
-    }
-    let positive = |v: Option<f64>| v.filter(|x| *x > 0.0);
-    for (s, m) in measured {
-        let then = |key: &str| positive(metrics.get(&format!("{}.{key}", s.name))?.as_f64());
-        let now = |key: &str| positive(m.get(key));
-        if let (Some(a), Some(b)) = (then("events_per_sec"), now("events_per_sec")) {
-            report.metric(&format!("speedup.{}", s.name), b / a);
-        }
-        if let Some(key) = s.workload.budget() {
-            if let (Some(a), Some(b)) = (then(key), now(key)) {
-                report.metric(&format!("shrink.{}", s.name), a / b);
-            }
-        }
-    }
-    report.param("baseline_from", path);
-}
-
-fn main() {
-    let mut out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out = args.next(),
-            "--baseline-from" => baseline = args.next(),
-            "--check" => {
-                let Some(path) = args.next() else {
-                    eprintln!("perf: --check needs a report path");
-                    std::process::exit(2);
-                };
-                std::process::exit(check(&path));
-            }
-            other => {
-                eprintln!("perf: unknown argument {other:?}");
-                eprintln!("usage: perf [--out FILE] [--baseline-from REPORT] [--check REPORT]");
-                std::process::exit(2);
-            }
-        }
-    }
-
+/// `--out`: run every scenario and write the record to `path`. Returns the
+/// exit code.
+fn record(path: &str) -> i32 {
     let mut report = RunReport::start("perf");
-    report.param("perf_passes", PASSES as u64);
-    println!(
-        "{:<12} {:>10} {:>12} {:>8} {:>10} {:>12} {:>10}",
-        "scenario", "events", "events/sec", "B/unit", "topo B", "peak live B", "wall s"
-    );
-    let mut measured = Vec::new();
     for s in SCENARIOS {
         let m = measure(s);
-        let cell = |v: Option<f64>, digits: usize| match v {
-            Some(v) => format!("{v:.digits$}"),
-            None => "-".to_string(),
-        };
-        let wall = m.get("wall_s").or(m.get("build_wall_s")).unwrap_or(0.0);
         println!(
-            "{:<12} {:>10} {:>12} {:>8} {:>10} {:>12} {wall:>10.2e}",
-            s.name,
-            cell(m.get("events"), 0),
-            cell(m.get("events_per_sec"), 0),
-            cell(s.workload.budget().and_then(|k| m.get(k)), 1),
-            cell(m.get("topo_bytes"), 0),
-            cell(m.get("peak_live_bytes"), 0),
+            "{}: digest {} ({} trace bytes)",
+            s.name, m.digest, m.trace_bytes
         );
-        for (k, v) in m.exact.iter().chain(&m.timing) {
-            report.metric(&format!("{}.{k}", s.name), *v);
+        for &(k, v) in &m.figures {
+            report.metric(&format!("{}.{k}", s.name), v);
         }
         report.param(&format!("{}.seed", s.name), s.seed);
         report.param(&format!("{}.horizon_s", s.name), s.horizon_s);
-        measured.push((s, m));
+        report.param(&format!("digest.{}", s.name), m.digest);
+        report.param(&format!("trace_bytes.{}", s.name), m.trace_bytes);
     }
-
-    for s in SCENARIOS.iter().filter(|s| s.workload.traced()) {
-        let (hex, bytes) = digest(s);
-        eprintln!("digest {}: {hex} ({bytes} trace bytes)", s.name);
-        report.param(&format!("digest.{}", s.name), hex);
-        report.param(&format!("trace_bytes.{}", s.name), bytes);
+    let doc = report.finish_timeless();
+    if let Err(e) = bench::report::validate(&doc) {
+        eprintln!("perf: produced report fails validation: {e}");
+        return 1;
     }
-    if let Some(path) = &baseline {
-        merge_baseline(&mut report, &measured, path);
-    }
-
-    match out {
-        Some(path) => {
-            let doc = report.finish();
-            if let Err(e) = bench::report::validate(&doc) {
-                eprintln!("perf: produced report fails validation: {e}");
-                std::process::exit(1);
-            }
-            std::fs::write(&path, doc.render_pretty() + "\n")
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    match std::fs::write(path, doc.render_pretty() + "\n") {
+        Ok(()) => {
             println!("perf report: {path}");
+            0
         }
-        None => report.write_or_warn(),
+        Err(e) => {
+            eprintln!("perf: cannot write {path}: {e}");
+            1
+        }
     }
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let code = match (args.next().as_deref(), args.next(), args.next()) {
+        (Some("--out"), Some(path), None) => record(&path),
+        (Some("--check"), Some(path), None) => check(&path),
+        _ => {
+            eprintln!("usage: perf --out FILE | perf --check REPORT");
+            2
+        }
+    };
+    std::process::exit(code);
 }
 
 #[cfg(test)]
@@ -807,16 +647,32 @@ mod tests {
     #[test]
     fn tracked_report_pins_every_scenario() {
         let doc = parse(include_str!("../../../../BENCH_perf.json")).unwrap();
+        let params = doc.get("params").and_then(Json::as_object).unwrap();
+        let metrics = doc.get("metrics").and_then(Json::as_object).unwrap();
         for s in SCENARIOS {
-            let digest = doc
-                .get("params")
-                .and_then(|p| p.get(&format!("digest.{}", s.name)));
-            assert_eq!(digest.is_some(), s.workload.traced(), "digest.{}", s.name);
+            let digest = format!("digest.{}", s.name);
+            assert!(params.contains_key(&digest), "no {digest}");
             if let Some(key) = s.workload.budget().filter(|_| s.checked) {
                 let key = format!("{}.{key}", s.name);
-                let budget = doc.get("metrics").and_then(|m| m.get(&key));
-                assert!(budget.and_then(Json::as_f64).is_some(), "no budget {key}");
+                let budget = metrics.get(&key).and_then(Json::as_f64);
+                assert!(budget.is_some(), "no budget {key}");
             }
         }
+        // The record holds only the behaviour contract: no timing (the
+        // `wall_s` suffix also covers `build_wall_s`), nothing merged from
+        // another run, and no metric of a row the table no longer has.
+        let derived = ["baseline.", "speedup.", "shrink."];
+        let timing = ["wall_s", "events_per_sec", "sim_wall_ratio"];
+        for key in metrics.keys() {
+            assert!(!derived.iter().any(|p| key.starts_with(p)), "{key}");
+            assert!(!timing.iter().any(|t| key.ends_with(t)), "{key}");
+            let row = key.split_once('.').map(|(row, _)| row);
+            assert!(SCENARIOS.iter().any(|s| Some(s.name) == row), "{key}");
+        }
+        for key in ["perf_passes", "baseline_from"] {
+            assert!(!params.contains_key(key), "param {key}");
+        }
+        let profile = doc.get("profile").unwrap();
+        assert_eq!(profile.get("wall_s").and_then(Json::as_f64), Some(0.0));
     }
 }

@@ -335,7 +335,7 @@ fn scenario_a_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario B (Tables I/II, Fig. 4) — also the ε-family ablation
+// Scenario B (Tables I/II, Fig. 4)
 // ---------------------------------------------------------------------------
 
 fn scenario_b_job(ctx: &JobCtx) -> JobOutput {
@@ -394,24 +394,8 @@ fn scenario_b_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
     ]
 }
 
-fn epsilon_family_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
-    vec![
-        (
-            "algorithm".to_string(),
-            algs(&[
-                Algorithm::FullyCoupled,
-                Algorithm::SemiCoupled,
-                Algorithm::Olia,
-                Algorithm::Ewtcp,
-                Algorithm::Uncoupled,
-            ]),
-        ),
-        ("red_multipath".to_string(), vec![Json::from(true)]),
-    ]
-}
-
 // ---------------------------------------------------------------------------
-// Scenario C (Figs. 5, 11, 12)
+// Scenario C (Figs. 5, 11, 12) — also the ε-family ablation
 // ---------------------------------------------------------------------------
 
 fn scenario_c_job(ctx: &JobCtx) -> JobOutput {
@@ -455,6 +439,42 @@ fn scenario_c_job(ctx: &JobCtx) -> JobOutput {
             ("p2".to_string(), sim.queue_stats(s.ap2).loss_probability()),
         ])
     })
+}
+
+/// Figs. 5(c,d), 11 and 12: N1 ∈ {5, 10, 20, 30} multipath users against
+/// N2 = 10 single-path users, at C1/C2 ∈ {1, 2}.
+fn scenario_c_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
+    vec![
+        (
+            "algorithm".to_string(),
+            algs(&[Algorithm::Lia, Algorithm::Olia]),
+        ),
+        ("backend".to_string(), vec![Json::from("packet")]),
+        ("c1_over_c2".to_string(), nums(&[1.0, 2.0])),
+        ("ratio".to_string(), nums(&[0.5, 1.0, 2.0, 3.0])),
+    ]
+}
+
+/// The ε-family ablation (`ablation_epsilon_family`): Scenario C at
+/// N1 = N2 = 10, C1/C2 = 2, across the coupling spectrum of §II, the
+/// related-work baselines and the probing-cost oracle.
+fn epsilon_family_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
+    vec![
+        (
+            "algorithm".to_string(),
+            algs(&[
+                Algorithm::Uncoupled,
+                Algorithm::Ewtcp,
+                Algorithm::SemiCoupled,
+                Algorithm::Lia,
+                Algorithm::FullyCoupled,
+                Algorithm::Olia,
+                Algorithm::OptimumProbe,
+            ]),
+        ),
+        ("c1_over_c2".to_string(), nums(&[2.0])),
+        ("ratio".to_string(), nums(&[1.0])),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -740,7 +760,7 @@ pub const REGISTRY: &[ScenarioDef] = &[
         name: "scenario_c",
         summary: "Scenario C multipath vs single-path split (Figs. 5, 11, 12)",
         run: scenario_c_job,
-        grid: scenario_a_grid,
+        grid: scenario_c_grid,
     },
     ScenarioDef {
         name: "fattree_permutation",
@@ -774,8 +794,8 @@ pub const REGISTRY: &[ScenarioDef] = &[
     },
     ScenarioDef {
         name: "ablation_epsilon",
-        summary: "Scenario B across the ε coupling family (ablation)",
-        run: scenario_b_job,
+        summary: "Scenario C across the ε coupling family (ablation)",
+        run: scenario_c_job,
         grid: epsilon_family_grid,
     },
     ScenarioDef {
@@ -811,6 +831,50 @@ mod tests {
                 d.name
             );
         }
+    }
+
+    #[test]
+    fn scenario_c_grids_are_the_figures_grids() {
+        let grid = |name: &str| (find(name).expect("registered").grid)(false);
+        let axis = |name: &str, values: Vec<Json>| (name.to_string(), values);
+        // Figs. 5(c,d), 11 and 12: N1 = 10 × ratio ∈ {5, 10, 20, 30}
+        // against N2 = 10, at C1/C2 ∈ {1, 2}, LIA against OLIA.
+        assert_eq!(
+            grid("scenario_c"),
+            vec![
+                axis("algorithm", algs(&[Algorithm::Lia, Algorithm::Olia])),
+                axis("backend", vec![Json::from("packet")]),
+                axis("c1_over_c2", nums(&[1.0, 2.0])),
+                axis("ratio", nums(&[0.5, 1.0, 2.0, 3.0])),
+            ]
+        );
+        // EXPERIMENTS.md's ε-family row (`ablation_epsilon_family`):
+        // Scenario C at N1 = N2 = 10, C1/C2 = 2, over seven algorithms.
+        let family = [
+            Algorithm::Uncoupled,
+            Algorithm::Ewtcp,
+            Algorithm::SemiCoupled,
+            Algorithm::Lia,
+            Algorithm::FullyCoupled,
+            Algorithm::Olia,
+            Algorithm::OptimumProbe,
+        ];
+        assert_eq!(
+            grid("ablation_epsilon"),
+            vec![
+                axis("algorithm", algs(&family)),
+                axis("c1_over_c2", nums(&[2.0])),
+                axis("ratio", nums(&[1.0])),
+            ]
+        );
+        // ...and it runs Scenario C (cheap on the flow backend).
+        let mut ctx = JobCtx::new(11, true);
+        ctx.params.insert("backend".to_string(), Json::from("flow"));
+        let out = (find("ablation_epsilon").unwrap().run)(&ctx);
+        assert_eq!(
+            out.metrics.keys().collect::<Vec<_>>(),
+            vec!["multipath_norm", "p1", "p2", "single_norm"],
+        );
     }
 
     #[test]

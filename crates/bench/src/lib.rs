@@ -96,19 +96,25 @@ impl RunCfg {
 
 /// Run one replication closure per seed, each on its own OS thread (a
 /// `Simulation` is single-threaded internally — `Rc` handles and all — but
-/// independent replications parallelize perfectly).
+/// independent replications parallelize perfectly). Each worker's
+/// `netsim::profile` tally is added to the caller's after the join, so a
+/// [`report::RunReport`] opened on the caller counts every replication.
 pub fn replicate<T: Send>(cfg: &RunCfg, run: impl Fn(u64) -> T + Sync) -> Vec<T> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.replications)
             .map(|i| {
                 let run = &run;
                 let seed = cfg.seed + i as u64;
-                scope.spawn(move || run(seed))
+                scope.spawn(move || (run(seed), netsim::profile::totals()))
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("replication thread panicked"))
+            .map(|h| {
+                let (out, (events, sim_ns)) = h.join().expect("replication thread panicked");
+                netsim::profile::add(events, sim_ns);
+                out
+            })
             .collect()
     })
 }
@@ -147,6 +153,29 @@ pub fn mean_goodput_mbps(conns: &[Connection], now: SimTime) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::profile::RunProfile;
+    use netsim::{FaultPlan, QueueConfig};
+
+    #[test]
+    fn replicate_adds_worker_tallies_to_the_caller() {
+        let cfg = RunCfg {
+            replications: 3,
+            ..RunCfg::quick()
+        };
+        let window = RunProfile::start();
+        let events = replicate(&cfg, |seed| {
+            let mut sim = Simulation::new(seed);
+            let ms = SimDuration::from_millis(seed);
+            let q = sim.add_queue(QueueConfig::drop_tail(10e6, ms, 100));
+            sim.install_fault_plan(FaultPlan::new().flap(q, SimTime::ZERO, ms, ms, 3));
+            sim.run_until(SimTime::from_secs_f64(0.5));
+            sim.events_processed()
+        });
+        let p = window.finish();
+        assert!(events.iter().all(|&e| e > 0));
+        assert_eq!(p.events, events.iter().sum::<u64>());
+        assert_eq!(p.sim_ns, 3 * 500_000_000);
+    }
 
     #[test]
     fn cfg_presets() {

@@ -140,13 +140,26 @@ impl RunReport {
     /// Close the profiling window and assemble the report document.
     pub fn finish(&self) -> Json {
         let p = self.profile.finish();
-        let mut profile_fields = vec![
+        self.document(Json::object([
             ("wall_s", Json::from(p.wall_s)),
             ("events", Json::from(p.events)),
             ("events_per_sec", Json::from(p.events_per_sec())),
             ("sim_s", Json::from(p.sim_ns as f64 / 1e9)),
             ("sim_wall_ratio", Json::from(p.sim_wall_ratio())),
-        ];
+        ]))
+    }
+
+    /// [`finish`](RunReport::finish) with a [`timeless_profile`], so the
+    /// document is a pure function of what ran: a tracked report's bytes
+    /// then change only when behaviour does.
+    pub fn finish_timeless(&self) -> Json {
+        let p = self.profile.finish();
+        self.document(timeless_profile(p.events, p.sim_ns as f64 / 1e9))
+    }
+
+    /// The report document around `profile`, an object to which the
+    /// histogram percentiles are added.
+    fn document(&self, mut profile: Json) -> Json {
         if !self.percentiles.is_empty() {
             let pcts: BTreeMap<String, Json> = self
                 .percentiles
@@ -162,9 +175,10 @@ impl RunReport {
                     )
                 })
                 .collect();
-            profile_fields.push(("percentiles", Json::Object(pcts)));
+            if let Json::Object(fields) = &mut profile {
+                fields.insert("percentiles".to_string(), Json::Object(pcts));
+            }
         }
-        let profile = Json::object(profile_fields);
         Json::object([
             ("schema", Json::from(SCHEMA)),
             ("name", Json::from(self.name.clone())),
@@ -203,6 +217,20 @@ impl RunReport {
             Err(e) => eprintln!("run report: cannot write results/{}.json: {e}", self.name),
         }
     }
+}
+
+/// A report `profile` whose wall-clock fields (`wall_s`, `events_per_sec`,
+/// `sim_wall_ratio`) are zero, keeping the simulation-deterministic
+/// `events` and `sim_s`, so the report's bytes do not depend on the host,
+/// its load or the worker count.
+pub fn timeless_profile(events: u64, sim_s: f64) -> Json {
+    Json::object([
+        ("wall_s", Json::from(0.0)),
+        ("events", Json::from(events)),
+        ("events_per_sec", Json::from(0.0)),
+        ("sim_s", Json::from(sim_s)),
+        ("sim_wall_ratio", Json::from(0.0)),
+    ])
 }
 
 fn require<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, String> {
@@ -690,6 +718,15 @@ mod tests {
         let p99 = fct.get("p99").unwrap().as_f64().unwrap();
         assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
         assert!(pcts.get("drops").is_none());
+
+        // The timeless profile keeps them and zeroes only the wall clock.
+        let timeless = r.finish_timeless();
+        validate(&timeless).unwrap();
+        let profile = timeless.get("profile").unwrap();
+        assert_eq!(profile.get("percentiles"), Some(pcts));
+        for key in ["wall_s", "events_per_sec", "sim_wall_ratio"] {
+            assert_eq!(profile.get(key).and_then(Json::as_f64), Some(0.0), "{key}");
+        }
 
         // A registry without histogram samples adds no percentiles section.
         let mut r = RunReport::start("unit_test_no_percentiles");

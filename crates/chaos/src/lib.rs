@@ -20,7 +20,7 @@
 //!   validated [`netsim::FaultPlan`];
 //! * [`gen`] — the seeded generator (pure function of a u64);
 //! * [`run`] — case execution under the oracle stack;
-//! * [`shrink`] — greedy ddmin to a minimal repro;
+//! * [`shrink`](mod@shrink) — greedy ddmin to a minimal repro;
 //! * [`campaign`] — parallel N-iteration campaigns (results independent of
 //!   worker count);
 //! * [`report`] — the `mptcp-chaos-report/v1` artifact;

@@ -1,46 +1,41 @@
-//! Process-wide simulator profiling counters.
+//! Simulator profiling counters, tallied per thread.
 //!
-//! The bench harness replicates runs across OS threads
-//! (`bench::replicate`), so per-[`crate::Simulation`] counters alone cannot
-//! answer "how many events did this experiment process per wall-second?".
-//! These atomics aggregate across every simulation in the process; each
-//! `run_until` adds its contribution when it returns. [`RunProfile`] pairs a
-//! snapshot with wall-clock time so reporters can compute events/sec and the
-//! sim-time/wall-time ratio.
+//! A profiling window (a run report, say) spans many simulations, so the
+//! events/sim-time tally lives per thread, the way `routes` keeps its
+//! arena, rather than per [`crate::Simulation`]: each `run_until` adds its
+//! contribution to the calling thread's tally when it returns. Work fanned
+//! out to other threads (`bench::replicate`) reaches the caller's tally
+//! only when the caller [`add`]s each joined worker's [`totals`], so
+//! windows on concurrent test threads never see each other's events.
+//! [`RunProfile`] pairs a snapshot with wall-clock time so reporters can
+//! compute events/sec and the sim-time/wall-time ratio.
 
-// simlint: allow(R7) process-global counters shared with bench's threaded replication; no sim logic depends on them
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 // simlint: allow(R1) this module IS the wall-clock profiling boundary; sim logic never reads it
 use std::time::Instant;
 
 use eventsim::SimDuration;
 
-static EVENTS: AtomicU64 = AtomicU64::new(0);
-static SIM_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Add to the process-wide counters (called by the event loop; `Relaxed`
-/// is enough — readers only want totals, not ordering).
-pub(crate) fn record_run(events: u64, sim_ns: u64) {
-    EVENTS.fetch_add(events, Ordering::Relaxed);
-    SIM_NS.fetch_add(sim_ns, Ordering::Relaxed);
+thread_local! {
+    /// This thread's `(events processed, simulated nanoseconds)`.
+    static TALLY: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
-/// Totals accumulated since process start (or the last [`reset`]):
-/// `(events_processed, simulated_nanoseconds)`.
+/// Add `events` and `sim_ns` to this thread's tally: the event loop calls
+/// it once per `run_until`, and a caller that joined a worker thread folds
+/// in that worker's [`totals`] with it.
+pub fn add(events: u64, sim_ns: u64) {
+    TALLY.with(|t| {
+        let (e, s) = t.get();
+        t.set((e + events, s + sim_ns));
+    });
+}
+
+/// This thread's tally since it started: `(events_processed,
+/// simulated_nanoseconds)`.
 pub fn totals() -> (u64, u64) {
-    (
-        EVENTS.load(Ordering::Relaxed),
-        SIM_NS.load(Ordering::Relaxed),
-    )
-}
-
-/// Zero the process-wide counters. Tests and reporters that need a clean
-/// window should prefer [`RunProfile`], which is delta-based and immune to
-/// other threads' history (though not to their concurrent activity).
-pub fn reset() {
-    EVENTS.store(0, Ordering::Relaxed);
-    SIM_NS.store(0, Ordering::Relaxed);
+    TALLY.with(Cell::get)
 }
 
 /// Delta-based profiling window: construct before the work, [`finish`] it
@@ -53,12 +48,6 @@ pub struct RunProfile {
     start_sim_ns: u64,
     // simlint: allow(R1) events/sec needs real time by definition; never feeds event ordering
     start_wall: Instant,
-}
-
-impl Default for RunProfile {
-    fn default() -> Self {
-        RunProfile::start()
-    }
 }
 
 impl RunProfile {
@@ -87,10 +76,11 @@ impl RunProfile {
 /// Measurements of one profiling window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileReport {
-    /// Simulation events processed in the window (all threads).
+    /// Simulation events processed in the window (this thread's, plus
+    /// any worker tallies it [`add`]ed).
     pub events: u64,
-    /// Simulated nanoseconds advanced in the window (all threads; with N
-    /// parallel replications this is N × the per-run horizon).
+    /// Simulated nanoseconds advanced in the window (with N replications
+    /// this is N × the per-run horizon).
     pub sim_ns: u64,
     /// Wall-clock seconds the window was open.
     pub wall_s: f64,
@@ -123,14 +113,11 @@ mod tests {
 
     #[test]
     fn deltas_only_count_the_window() {
-        record_run(100, 1_000);
+        add(100, 1_000);
         let window = RunProfile::start();
-        record_run(7, 500);
+        add(7, 500);
         let report = window.finish();
-        // Other tests run in parallel in this process, so assert lower
-        // bounds, not equality.
-        assert!(report.events >= 7);
-        assert!(report.sim_ns >= 500);
+        assert_eq!((report.events, report.sim_ns), (7, 500));
         assert!(report.wall_s >= 0.0);
     }
 

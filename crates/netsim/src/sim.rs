@@ -445,9 +445,9 @@ impl Simulation {
             self.events.advance_to(until);
         }
         self.events_processed += dispatched;
-        // Feed the process-wide profiling totals (events/sec, sim/wall
-        // ratio) — see `profile`.
-        crate::profile::record_run(
+        // Feed this thread's profiling tally (events/sec, sim/wall ratio)
+        // — see `profile`.
+        crate::profile::add(
             dispatched,
             self.events.now().saturating_since(started_at).as_nanos(),
         );

@@ -309,13 +309,7 @@ fn job_report(manifest: &Manifest, job: &Job, out: &JobOutput, stem: &str) -> Js
         ("tables", Json::Object(BTreeMap::new())),
         (
             "profile",
-            Json::object([
-                ("wall_s", Json::from(0.0)),
-                ("events", Json::from(out.events)),
-                ("events_per_sec", Json::from(0.0)),
-                ("sim_s", Json::from(out.sim_s)),
-                ("sim_wall_ratio", Json::from(0.0)),
-            ]),
+            bench::report::timeless_profile(out.events, out.sim_s),
         ),
     ])
 }

@@ -1,32 +1,26 @@
-//! The checked-in `simlint.toml`: path-level allows, scoped rule grants,
-//! and the hot-path seed list.
+//! The checked-in `simlint.toml`: path-level allows and the hot-path seed
+//! list.
 //!
 //! Inline `// simlint: allow(..)` comments suppress a single line; some
-//! exemptions are a property of a whole file or directory (the vendored
-//! `compat/criterion` stand-in *exists* to read the wall clock), and those
-//! belong in one auditable place rather than sprinkled through vendored
+//! exemptions are a property of a whole file or directory (`eventsim`'s
+//! `time.rs` *is* the unit boundary the R8/R9 conversions belong to), and
+//! those belong in one auditable place rather than sprinkled through the
 //! code. The format is a tiny TOML subset — exactly these shapes:
 //!
 //! ```toml
 //! [[allow]]
-//! path = "compat/criterion"          # workspace-relative prefix
-//! rules = ["R1"]                     # rule ids this entry suppresses
-//! reason = "why this is legitimate"  # required, non-empty
+//! path = "crates/eventsim/src/time.rs" # workspace-relative prefix
+//! rules = ["R8", "R9"]                 # rule ids this entry suppresses
+//! reason = "why this is legitimate"    # required, non-empty
 //!
-//! [[grant]]                          # scoped pre-authorisation: same
-//! path = "crates/eventsim/src/par"   # fields as [[allow]], but exempt
-//! rules = ["R7"]                     # from the A3 staleness audit —
-//! reason = "future PDES module"      # grants may name code that does
-//!                                    # not exist yet
 //! [hotpath]
-//! seeds = ["crates/eventsim/src/"]   # R5 hot-path fallback seeds; the
-//!                                    # call graph derives the real set
+//! seeds = ["crates/eventsim/src/"]     # R5 hot-path fallback seeds; the
+//!                                      # call graph derives the real set
 //! ```
 //!
 //! `[[allow]]` entries must stay load-bearing: the A3 audit flags any
 //! whose path matches no scanned file or whose rules no longer fire under
-//! it. `[[grant]]` entries are the escape hatch for *planned* code (e.g.
-//! `R7` carved out for a future `eventsim::par`) and are audit-exempt.
+//! it.
 //!
 //! The parser is line-based and strict: unknown keys, unknown sections,
 //! missing fields, or an empty reason are hard errors, so the allow-list
@@ -34,8 +28,8 @@
 
 use crate::rules::{HOT_PATH_PREFIXES, RULES};
 
-/// One `[[allow]]` or `[[grant]]` entry: suppress `rules` for every file
-/// whose workspace-relative path starts with `path`.
+/// One `[[allow]]` entry: suppress `rules` for every file whose
+/// workspace-relative path starts with `path`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathAllow {
     /// Workspace-relative path prefix (forward slashes).
@@ -65,9 +59,6 @@ pub struct Hotpath {
 pub struct Config {
     /// Path-level allow entries, in file order.
     pub allows: Vec<PathAllow>,
-    /// Scoped grants — same suppression semantics as `allows`, exempt
-    /// from the A3 staleness audit.
-    pub grants: Vec<PathAllow>,
     /// Hot-path seeds (defaults to [`HOT_PATH_PREFIXES`]).
     pub hotpath: Hotpath,
 }
@@ -76,7 +67,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             allows: Vec::new(),
-            grants: Vec::new(),
             hotpath: Hotpath {
                 seeds: HOT_PATH_PREFIXES.iter().map(|p| p.to_string()).collect(),
                 line: 0,
@@ -86,12 +76,10 @@ impl Default for Config {
 }
 
 impl Config {
-    /// The entry (allow or grant) suppressing `rule` for `rel_path`, if
-    /// any.
+    /// The allow entry suppressing `rule` for `rel_path`, if any.
     pub fn path_allow(&self, rel_path: &str, rule: &str) -> Option<&PathAllow> {
         self.allows
             .iter()
-            .chain(self.grants.iter())
             .find(|a| rel_path.starts_with(&a.path) && a.rules.iter().any(|r| r == rule))
     }
 }
@@ -108,13 +96,12 @@ pub fn parse(text: &str) -> Result<Config, String> {
         if line.is_empty() {
             continue;
         }
-        if line == "[[allow]]" || line == "[[grant]]" || line == "[hotpath]" {
+        if line == "[[allow]]" || line == "[hotpath]" {
             if let Some(section) = current.take() {
                 section.finish(&mut config)?;
             }
             current = Some(match line {
                 "[[allow]]" => Section::Allow(PartialAllow::new(lineno)),
-                "[[grant]]" => Section::Grant(PartialAllow::new(lineno)),
                 _ => {
                     if saw_hotpath {
                         return Err(format!("line {lineno}: duplicate [hotpath] section"));
@@ -139,7 +126,7 @@ pub fn parse(text: &str) -> Result<Config, String> {
             .ok_or_else(|| format!("line {lineno}: key outside a section"))?;
         let (key, value) = (key.trim(), value.trim());
         match section {
-            Section::Allow(entry) | Section::Grant(entry) => match key {
+            Section::Allow(entry) => match key {
                 "path" => entry.path = Some(parse_string(value, lineno)?),
                 "reason" => entry.reason = Some(parse_string(value, lineno)?),
                 "rules" => entry.rules = Some(parse_string_array(value, lineno)?),
@@ -205,7 +192,6 @@ fn parse_string_array(value: &str, lineno: usize) -> Result<Vec<String>, String>
 /// A section mid-parse.
 enum Section {
     Allow(PartialAllow),
-    Grant(PartialAllow),
     Hotpath {
         start_line: usize,
         seeds: Option<Vec<String>>,
@@ -215,8 +201,7 @@ enum Section {
 impl Section {
     fn finish(self, config: &mut Config) -> Result<(), String> {
         match self {
-            Section::Allow(partial) => config.allows.push(partial.finish("allow")?),
-            Section::Grant(partial) => config.grants.push(partial.finish("grant")?),
+            Section::Allow(partial) => config.allows.push(partial.finish()?),
             Section::Hotpath { start_line, seeds } => {
                 let seeds = seeds
                     .ok_or_else(|| format!("[hotpath] at line {start_line}: missing `seeds`"))?;
@@ -230,7 +215,7 @@ impl Section {
     }
 }
 
-/// An `[[allow]]`/`[[grant]]` section mid-parse.
+/// An `[[allow]]` section mid-parse.
 struct PartialAllow {
     start_line: usize,
     path: Option<String>,
@@ -248,25 +233,25 @@ impl PartialAllow {
         }
     }
 
-    fn finish(self, kind: &str) -> Result<PathAllow, String> {
+    fn finish(self) -> Result<PathAllow, String> {
         let at = self.start_line;
         let path = self
             .path
-            .ok_or_else(|| format!("[[{kind}]] at line {at}: missing `path`"))?;
+            .ok_or_else(|| format!("[[allow]] at line {at}: missing `path`"))?;
         let rules = self
             .rules
-            .ok_or_else(|| format!("[[{kind}]] at line {at}: missing `rules`"))?;
+            .ok_or_else(|| format!("[[allow]] at line {at}: missing `rules`"))?;
         let reason = self
             .reason
-            .ok_or_else(|| format!("[[{kind}]] at line {at}: missing `reason`"))?;
+            .ok_or_else(|| format!("[[allow]] at line {at}: missing `reason`"))?;
         if reason.trim().is_empty() {
             return Err(format!(
-                "[[{kind}]] at line {at}: reason must be a written justification"
+                "[[allow]] at line {at}: reason must be a written justification"
             ));
         }
         for rule in &rules {
             if !RULES.iter().any(|r| r.id == rule) {
-                return Err(format!("[[{kind}]] at line {at}: unknown rule {rule:?}"));
+                return Err(format!("[[allow]] at line {at}: unknown rule {rule:?}"));
             }
         }
         Ok(PathAllow {
@@ -324,22 +309,6 @@ mod tests {
     fn keys_outside_a_section_are_errors() {
         let err = parse("path = \"x\"\n").unwrap_err();
         assert!(err.contains("outside"), "{err}");
-    }
-
-    #[test]
-    fn grants_suppress_like_allows_but_are_separate() {
-        let cfg = parse(
-            "[[grant]]\npath = \"crates/eventsim/src/par\"\nrules = [\"R7\"]\nreason = \"future PDES module\"\n",
-        )
-        .expect("valid config");
-        assert!(cfg.allows.is_empty());
-        assert_eq!(cfg.grants.len(), 1);
-        assert!(cfg
-            .path_allow("crates/eventsim/src/par/mod.rs", "R7")
-            .is_some());
-        assert!(cfg
-            .path_allow("crates/eventsim/src/queue.rs", "R7")
-            .is_none());
     }
 
     #[test]

@@ -162,10 +162,13 @@ fn run_reports_round_trip_through_the_validator() {
     validate(&doc).expect("fresh report must validate");
     let reparsed = parse(&doc.render_pretty()).unwrap();
     validate(&reparsed).expect("report must survive a serialize/parse round trip");
+    // The profiling tally is per thread, so the window holds exactly this
+    // simulation's events, whatever other test threads run meanwhile.
     let profile = reparsed.get("profile").unwrap();
-    assert!(
-        profile.get("events").unwrap().as_f64().unwrap() > 0.0,
-        "profiling window saw no simulator events"
+    assert_eq!(
+        profile.get("events").unwrap().as_f64().unwrap(),
+        sim.events_processed() as f64,
     );
+    assert_eq!(profile.get("sim_s").unwrap().as_f64(), Some(2.0));
     assert!(profile.get("sim_wall_ratio").unwrap().as_f64().unwrap() > 0.0);
 }
