@@ -139,15 +139,22 @@ rm -rf results/chaos/ci-gate
 cargo test --release --offline --test flow_crossval -- --include-ignored
 
 # Benchmark-behaviour gate: the repository benchmark (perfbench/, see
-# BENCHMARK.json) runs its self-tests, then one short run of each workload
-# on pinned seed 1. The run's digest pass compares the trace digest and
-# event count with the pin in perfbench/src/pins.rs and exits non-zero on
-# any mismatch or failed check, so a behaviour change fails here instead
-# of only in a benchmark comparison.
+# BENCHMARK.json) runs its self-tests, then a short plain and a short
+# traced run of each workload on pinned seed 1. Each run's digest pass
+# compares the trace digest and event count with the pin in
+# perfbench/src/pins.rs and exits non-zero on any mismatch or failed check,
+# so a behaviour change fails here instead of only in a benchmark
+# comparison. The plain run steps each simulation with one `run_until`; the
+# traced run (--trace 1) steps it in 10 ms (packet) or 5 ms (flow) slices,
+# so the event queue's horizon check, `peek_time` and `advance_to` meet
+# pending entries of both lanes at every slice boundary, and the sliced run
+# must still match the pin.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 for workload in packet_fattree packet_scenc_faults flow_churn; do
-    cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 0 >/dev/null
+    for trace in 0 1; do
+        cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --trace "$trace" --seconds 0 >/dev/null
+    done
 done
 
 echo "ci: all gates passed"

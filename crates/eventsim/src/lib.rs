@@ -13,11 +13,14 @@
 //! * [`EventQueue`] — a priority queue of timestamped events with **FIFO
 //!   tie-breaking**: two events scheduled for the same instant fire in the
 //!   order they were scheduled. This removes a classic source of
-//!   non-determinism in heap-based simulators.
+//!   non-determinism in heap-based simulators. Timers go to a lane of their
+//!   own, so cancelled ones awaiting drainage do not deepen the heap every
+//!   other event sifts through.
 //! * [`SimRng`] — a seeded RNG wrapper so every stochastic choice in a
 //!   simulation is reproducible from a single `u64` seed.
 //! * [`TimerSlab`] / [`TimerHandle`] — generational cancellable timers
-//!   layered over the queue, with lazy drainage of cancelled entries.
+//!   layered over the queue's timer lane, with lazy drainage of cancelled
+//!   entries.
 //!
 //! The engine is intentionally synchronous and allocation-light (in the
 //! spirit of event-driven network stacks such as smoltcp): simulation is a

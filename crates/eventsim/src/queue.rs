@@ -1,8 +1,27 @@
-//! The event queue: a 4-ary implicit min-heap keyed on packed `(time, seq)`.
+//! The event queue: two 4-ary implicit min-heaps keyed on packed `(time, seq)`
+//! that draw their keys from one sequence counter.
 //!
 //! The sequence number guarantees FIFO ordering of simultaneous events, which
 //! makes simulation runs bit-for-bit deterministic regardless of heap
 //! internals.
+//!
+//! # Two lanes
+//!
+//! [`EventQueue::schedule`] feeds the event lane and
+//! [`EventQueue::schedule_timer`] the timer lane. Each lane is its own heap,
+//! and a pop takes whichever lane's root key is smaller. Keys are unique
+//! across both lanes (one counter), so the merged pop sequence is exactly
+//! that of a single heap holding every entry: same order, same ties, same
+//! high-water mark (counted over both lanes).
+//!
+//! The split pays off because cancelled timers linger. Cancellation is lazy
+//! (see [`TimerSlab`](crate::TimerSlab)), so a dead timer stays pending until
+//! its time comes. In a k=8 FatTree run the pending set peaks at ~162k
+//! entries, of which at most ~10³ are packet events and the rest RTO timers,
+//! nearly all cancelled. With its own lane, the packet traffic sifts through
+//! a heap of ~10³ entries instead of ~10⁵, and a timer entry stores only the
+//! timer lane's payload type (netsim's is an 8-byte handle) rather than the
+//! full event type.
 //!
 //! # Why not `std::collections::BinaryHeap`?
 //!
@@ -20,33 +39,40 @@
 //!   for the final swaps — so the comparison loop walks a dense `u128` array
 //!   with no payload bytes polluting the cache lines.
 //! * **4-ary layout.** A wider node roughly halves the tree depth versus a
-//!   binary heap. Pops (the expensive direction: sift-down does d compares
-//!   per level) touch fewer cache lines; four adjacent `u128` keys are
-//!   exactly one 64-byte line.
+//!   binary heap, so pops (the expensive direction) visit half as many
+//!   levels. A node's four child keys are 64 contiguous bytes, but not one
+//!   cache line: a `Vec<u128>` is 16-byte aligned and node `i`'s children
+//!   start at index `4i + 1`, so a sibling group usually spans two lines.
+//!   Aligning every group to a line measured no gain. Sift-down picks the
+//!   least of a full node's children with a two-round tournament of selects
+//!   rather than a branchy scan.
 //!
 //! Pop order is *identical* to the previous implementation — the heap shape
 //! differs, but the comparator is a total order (seq is unique), so the pop
 //! sequence is fully determined regardless of internal arrangement. The
-//! differential property test in `tests/differential.rs` pins this against a
-//! plain reference heap.
+//! differential property tests in `tests/differential.rs` pin this against a
+//! plain reference heap, across both lanes.
 
 use crate::SimTime;
 
-/// A deterministic timestamped event queue.
+/// A deterministic timestamped event queue with a separate timer lane.
 ///
-/// Events popped in nondecreasing time order; ties broken by insertion order.
+/// Events pop in nondecreasing time order; ties are broken by scheduling
+/// order, across both lanes. `E` is the event-lane payload and what every pop
+/// returns; `T` is the timer-lane payload, turned into an `E` by
+/// `E: From<T>` when it pops. With the default `T = E` the timer lane is just
+/// a second heap of the same type, which a caller may leave idle.
 #[derive(Debug)]
-pub struct EventQueue<E> {
-    /// Heap-ordered packed keys: `(at.as_nanos() as u128) << 64 | seq`.
-    keys: Vec<u128>,
-    /// Payloads, parallel to `keys` (same heap position).
-    events: Vec<E>,
+pub struct EventQueue<E, T = E> {
+    events: Heap<E>,
+    timers: Heap<T>,
     seq: u64,
     now: SimTime,
     high_water: usize,
 }
 
-/// Heap arity. Four keys are one cache line; see the module docs.
+/// Heap arity: a node's four child keys are 64 contiguous bytes; see the
+/// module docs.
 const D: usize = 4;
 
 fn pack(at: SimTime, seq: u64) -> u128 {
@@ -58,41 +84,29 @@ fn unpack_time(key: u128) -> SimTime {
     SimTime::from_nanos((key >> 64) as u64)
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E, T> Default for EventQueue<E, T> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E, T> EventQueue<E, T> {
     /// An empty queue with the clock at time zero.
     pub fn new() -> Self {
         EventQueue {
-            keys: Vec::new(),
-            events: Vec::new(),
+            events: Heap::new(),
+            timers: Heap::new(),
             seq: 0,
             now: SimTime::ZERO,
             high_water: 0,
         }
     }
 
-    /// An empty queue pre-sized for `cap` pending events, so steady-state
-    /// operation never reallocates (topology builders know how many
-    /// endpoints × queues they create and pre-size accordingly).
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            keys: Vec::with_capacity(cap),
-            events: Vec::with_capacity(cap),
-            seq: 0,
-            now: SimTime::ZERO,
-            high_water: 0,
-        }
-    }
-
-    /// Reserve room for at least `additional` more pending events.
+    /// Reserve room in the event lane for at least `additional` more pending
+    /// events. The timer lane grows on demand.
     pub fn reserve(&mut self, additional: usize) {
-        self.keys.reserve(additional);
-        self.events.reserve(additional);
+        self.events.keys.reserve(additional);
+        self.events.items.reserve(additional);
     }
 
     /// The current simulation time: the timestamp of the last popped event
@@ -106,6 +120,25 @@ impl<E> EventQueue<E> {
     /// Panics if `at` is in the simulated past — an event scheduled before
     /// `now()` is always a bug in the caller.
     pub fn schedule(&mut self, at: SimTime, event: E) {
+        let key = self.next_key(at);
+        self.events.push(key, event);
+        self.high_water = self.high_water.max(self.len());
+    }
+
+    /// Schedule `timer` on the timer lane to fire at absolute time `at`. It
+    /// pops as `E::from(timer)`, in the same order as if it had been passed
+    /// to [`schedule`](Self::schedule).
+    ///
+    /// Panics if `at` is in the simulated past.
+    pub fn schedule_timer(&mut self, at: SimTime, timer: T) {
+        let key = self.next_key(at);
+        self.timers.push(key, timer);
+        self.high_water = self.high_water.max(self.len());
+    }
+
+    /// The key for an entry at `at`: the time plus the next sequence number,
+    /// drawn from the one counter both lanes share.
+    fn next_key(&mut self, at: SimTime) -> u128 {
         assert!(
             at >= self.now,
             "scheduled event in the past: at={at} now={}",
@@ -113,47 +146,60 @@ impl<E> EventQueue<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.keys.push(pack(at, seq));
-        self.events.push(event);
-        if self.keys.len() > self.high_water {
-            self.high_water = self.keys.len();
-        }
-        self.sift_up(self.keys.len() - 1);
+        pack(at, seq)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (last_key, last_event) = match (self.keys.pop(), self.events.pop()) {
-            (Some(k), Some(e)) => (k, e),
-            _ => return None,
-        };
-        let (at, event) = if self.keys.is_empty() {
-            // The popped tail *was* the root.
-            (unpack_time(last_key), last_event)
-        } else {
-            // Return the root and re-seat the old tail via one hole-style
-            // sift-down — no preparatory root/tail swap.
-            let at = unpack_time(self.keys[0]);
-            let event = std::mem::replace(&mut self.events[0], last_event);
-            self.keys[0] = last_key;
-            self.sift_down(0);
-            (at, event)
-        };
-        debug_assert!(at >= self.now);
-        self.now = at;
-        Some((at, event))
+    pub fn pop(&mut self) -> Option<(SimTime, E)>
+    where
+        E: From<T>,
+    {
+        self.pop_through(u128::MAX)
     }
 
     /// Pop the earliest event only if it fires at or before `horizon`.
     ///
-    /// Equivalent to `peek_time()` + `pop()` but reads the root key once —
-    /// this is the driver-loop fast path, where every event pays the horizon
-    /// check.
-    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if unpack_time(*self.keys.first()?) > horizon {
+    /// Equivalent to `peek_time()` + `pop()` but reads each lane's root key
+    /// once — this is the driver-loop fast path, where every event pays the
+    /// horizon check.
+    pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)>
+    where
+        E: From<T>,
+    {
+        // The largest key at `horizon`: every entry due by then is ≤ it.
+        self.pop_through(pack(horizon, u64::MAX))
+    }
+
+    /// The least pending key across both lanes, and whether the timer lane
+    /// holds it.
+    fn earliest(&self) -> Option<(u128, bool)> {
+        match (self.events.root(), self.timers.root()) {
+            (Some(e), Some(t)) if t < e => Some((t, true)),
+            (Some(e), _) => Some((e, false)),
+            (None, Some(t)) => Some((t, true)),
+            (None, None) => None,
+        }
+    }
+
+    /// Pop the entry with the least key across both lanes if that key is at
+    /// most `limit`.
+    fn pop_through(&mut self, limit: u128) -> Option<(SimTime, E)>
+    where
+        E: From<T>,
+    {
+        let (key, timer) = self.earliest()?;
+        if key > limit {
             return None;
         }
-        self.pop()
+        let event = if timer {
+            E::from(self.timers.pop()?)
+        } else {
+            self.events.pop()?
+        };
+        let at = unpack_time(key);
+        debug_assert!(at >= self.now);
+        self.now = at;
+        Some((at, event))
     }
 
     /// Advance the clock to `at` without popping anything (a driver that ran
@@ -161,8 +207,8 @@ impl<E> EventQueue<E> {
     /// wall-clock-anchored bookkeeping — stat resets, utilization windows —
     /// sees the intended instant).
     ///
-    /// Panics if `at` is earlier than an already-pending event (that event
-    /// would then fire in the past) or before `now()`.
+    /// Panics if `at` is earlier than an already-pending event of either
+    /// lane (that event would then fire in the past) or before `now()`.
     pub fn advance_to(&mut self, at: SimTime) {
         assert!(at >= self.now, "clock must not move backwards");
         if let Some(t) = self.peek_time() {
@@ -171,33 +217,81 @@ impl<E> EventQueue<E> {
         self.now = at;
     }
 
-    /// Timestamp of the earliest pending event, if any.
+    /// Timestamp of the earliest pending event of either lane, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.keys.first().map(|&k| unpack_time(k))
+        self.earliest().map(|(key, _)| unpack_time(key))
     }
 
-    /// Number of pending events.
+    /// Number of pending events, both lanes.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.events.keys.len() + self.timers.keys.len()
     }
 
-    /// Whether no events are pending.
+    /// Whether no events are pending in either lane.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len() == 0
     }
 
-    /// The most pending events ever held at once (diagnostics: pre-sizing
-    /// validation and the perf harness's `peak_heap` metric).
+    /// The most pending events ever held at once, both lanes together
+    /// (diagnostics: pre-sizing validation and the perf harness's
+    /// `peak_heap` metric).
     pub fn high_water(&self) -> usize {
         self.high_water
     }
 
-    /// Iterate over pending payloads in unspecified (heap) order.
+    /// Iterate over the event lane's pending payloads in unspecified (heap)
+    /// order; the timer lane is not visited.
     ///
     /// For diagnostics and conservation checks only — simulation logic must
     /// never depend on this order.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.events.iter()
+        self.events.items.iter()
+    }
+}
+
+/// One lane: a 4-ary implicit min-heap of packed keys, with payloads in a
+/// parallel array at the same heap positions.
+#[derive(Debug)]
+struct Heap<P> {
+    keys: Vec<u128>,
+    items: Vec<P>,
+}
+
+impl<P> Heap<P> {
+    fn new() -> Self {
+        Heap {
+            keys: Vec::new(),
+            items: Vec::new(),
+        }
+    }
+
+    /// The least pending key.
+    fn root(&self) -> Option<u128> {
+        self.keys.first().copied()
+    }
+
+    fn push(&mut self, key: u128, item: P) {
+        self.keys.push(key);
+        self.items.push(item);
+        self.sift_up(self.keys.len() - 1);
+    }
+
+    /// Remove the root entry and return its payload.
+    fn pop(&mut self) -> Option<P> {
+        let (last_key, last_item) = match (self.keys.pop(), self.items.pop()) {
+            (Some(k), Some(p)) => (k, p),
+            _ => return None,
+        };
+        if self.keys.is_empty() {
+            // The popped tail *was* the root.
+            return Some(last_item);
+        }
+        // Return the root and re-seat the old tail via one hole-style
+        // sift-down — no preparatory root/tail swap.
+        let item = std::mem::replace(&mut self.items[0], last_item);
+        self.keys[0] = last_key;
+        self.sift_down(0);
+        Some(item)
     }
 
     /// Hole-style sift-up: find the destination with read-only compares
@@ -218,39 +312,55 @@ impl<E> EventQueue<E> {
         while j != i {
             let parent = (j - 1) / D;
             self.keys[j] = self.keys[parent];
-            self.events.swap(j, parent);
+            self.items.swap(j, parent);
             j = parent;
         }
         self.keys[i] = key;
     }
 
     /// Hole-style sift-down: the displaced key rides in a register and is
-    /// stored exactly once; each level costs one child scan plus a single
-    /// key store instead of a full swap.
+    /// stored exactly once; each level costs one child selection plus a
+    /// single key store instead of a full swap.
     fn sift_down(&mut self, start: usize) {
         let n = self.keys.len();
         let key = self.keys[start];
         let mut i = start;
         loop {
             let first = D * i + 1;
-            if first >= n {
-                break;
-            }
-            let last = (first + D).min(n);
-            let mut min = first;
-            let mut min_key = self.keys[first];
-            for c in first + 1..last {
-                let k = self.keys[c];
-                if k < min_key {
-                    min = c;
-                    min_key = k;
+            let (min, min_key) = match self.keys.get(first..first + D) {
+                // A full node: a two-round tournament of selects, which the
+                // compiler can lower to conditional moves rather than a
+                // data-dependent branch per child. Keys are unique, so the
+                // winner does not depend on how ties would be broken.
+                Some(&[k0, k1, k2, k3]) => {
+                    let (a, ka) = if k1 < k0 { (1, k1) } else { (0, k0) };
+                    let (b, kb) = if k3 < k2 { (3, k3) } else { (2, k2) };
+                    if kb < ka {
+                        (first + b, kb)
+                    } else {
+                        (first + a, ka)
+                    }
                 }
-            }
+                // The partial last node: scan its one to three children.
+                _ if first < n => {
+                    let mut min = first;
+                    let mut min_key = self.keys[first];
+                    for c in first + 1..n {
+                        let k = self.keys[c];
+                        if k < min_key {
+                            min = c;
+                            min_key = k;
+                        }
+                    }
+                    (min, min_key)
+                }
+                _ => break,
+            };
             if key <= min_key {
                 break;
             }
             self.keys[i] = min_key;
-            self.events.swap(i, min);
+            self.items.swap(i, min);
             i = min;
         }
         self.keys[i] = key;
@@ -265,7 +375,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<i32> = EventQueue::new();
         q.schedule(SimTime::from_nanos(30), 3);
         q.schedule(SimTime::from_nanos(10), 1);
         q.schedule(SimTime::from_nanos(20), 2);
@@ -275,7 +385,7 @@ mod tests {
 
     #[test]
     fn fifo_tie_break() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<i32> = EventQueue::new();
         let t = SimTime::from_nanos(5);
         for i in 0..100 {
             q.schedule(t, i);
@@ -286,7 +396,7 @@ mod tests {
 
     #[test]
     fn clock_advances_on_pop() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<()> = EventQueue::new();
         assert_eq!(q.now(), SimTime::ZERO);
         q.schedule(SimTime::from_nanos(42), ());
         q.pop();
@@ -296,7 +406,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "past")]
     fn scheduling_in_past_panics() {
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<()> = EventQueue::new();
         q.schedule(SimTime::from_nanos(10), ());
         q.pop();
         q.schedule(SimTime::from_nanos(5), ());
@@ -316,7 +426,7 @@ mod tests {
     #[test]
     fn interleaved_schedule_pop() {
         // Scheduling from within the "handler" (typical DES pattern) keeps order.
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<&str> = EventQueue::new();
         q.schedule(SimTime::from_nanos(1), "a");
         let (t, e) = q.pop().unwrap();
         assert_eq!(e, "a");
@@ -327,8 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_high_water() {
-        let mut q = EventQueue::with_capacity(64);
+    fn reserve_and_high_water() {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.reserve(64);
         for i in 0..10u64 {
             q.schedule(SimTime::from_nanos(i), i);
         }
@@ -342,10 +453,54 @@ mod tests {
     }
 
     #[test]
+    fn lanes_merge_in_schedule_order() {
+        // Same-instant entries pop in scheduling order whichever lane holds
+        // them; timer payloads come out through `From`.
+        let mut q: EventQueue<i64, u8> = EventQueue::new();
+        let t = SimTime::from_nanos(5);
+        q.schedule_timer(t, 1);
+        q.schedule(t, -2);
+        q.schedule_timer(t, 3);
+        q.schedule(SimTime::from_nanos(4), -4);
+        assert_eq!((q.len(), q.high_water()), (4, 4));
+        assert_eq!(q.iter().count(), 2, "iter walks the event lane only");
+        let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![-4, 1, -2, 3]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn peek_and_horizon_see_the_timer_lane() {
+        let mut q: EventQueue<i64, u8> = EventQueue::new();
+        q.schedule(SimTime::from_nanos(20), -1);
+        q.schedule_timer(SimTime::from_nanos(10), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        assert_eq!(q.pop_at_or_before(SimTime::from_nanos(9)), None);
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_nanos(10)),
+            Some((SimTime::from_nanos(10), 1))
+        );
+        q.advance_to(SimTime::from_nanos(20));
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_nanos(20)).map(|(_, e)| e),
+            Some(-1)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "advancing past a pending event")]
+    fn advance_past_a_pending_timer_panics() {
+        let mut q: EventQueue<i64, u8> = EventQueue::new();
+        q.schedule(SimTime::from_nanos(20), -1);
+        q.schedule_timer(SimTime::from_nanos(10), 1);
+        q.advance_to(SimTime::from_nanos(11));
+    }
+
+    #[test]
     fn max_time_events_pop_cleanly() {
         // The packed key must not overflow or wrap at the top of the time
         // range.
-        let mut q = EventQueue::new();
+        let mut q: EventQueue<&str> = EventQueue::new();
         q.schedule(SimTime::from_nanos(u64::MAX), "end");
         q.schedule(SimTime::from_nanos(1), "start");
         assert_eq!(q.pop().unwrap().1, "start");
@@ -358,7 +513,7 @@ mod tests {
         /// insertion order, for arbitrary schedules.
         #[test]
         fn prop_order(times in proptest::collection::vec(0u64..1_000, 1..200)) {
-            let mut q = EventQueue::new();
+            let mut q: EventQueue<usize> = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
                 q.schedule(SimTime::from_nanos(t), i);
             }

@@ -3,13 +3,16 @@
 //! The [`EventQueue`](crate::EventQueue) itself has no removal operation —
 //! deleting from the middle of a heap is O(n) and would perturb the layout.
 //! Instead, cancellation is **lazy**: arming a timer stores its metadata in a
-//! [`TimerSlab`] and schedules a heap event carrying only the returned
-//! [`TimerHandle`]; cancelling releases the slab slot (bumping its
-//! generation); when the heap event eventually pops, [`TimerSlab::claim`]
-//! returns `None` for the stale handle and the driver drops it without
-//! dispatching. Dead entries thus cost one heap pop each — exactly what the
-//! old "version the token, ignore stale fires at the endpoint" scheme cost —
-//! but the bookkeeping is centralized, O(1), and type-checked instead of
+//! [`TimerSlab`] and puts only the returned [`TimerHandle`] on the queue's
+//! timer lane ([`EventQueue::schedule_timer`](crate::EventQueue::schedule_timer));
+//! cancelling releases the slab slot (bumping its generation); when the
+//! handle eventually pops, [`TimerSlab::claim`] returns `None` for it and the
+//! driver drops it without dispatching. Dead entries thus cost one pop each
+//! from the timer lane — the same count the old "version the token, ignore
+//! stale fires at the endpoint" scheme paid — but they wait in a heap of
+//! their own, so however many pile up (per-ACK RTO restarts leave ~10⁵ at
+//! k=8 FatTree scale) the event lane that carries packet traffic stays
+//! small. The bookkeeping is centralized, O(1), and type-checked instead of
 //! re-implemented per endpoint.
 //!
 //! Generations make handle reuse safe: a slot freed by cancel/claim

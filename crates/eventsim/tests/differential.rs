@@ -1,14 +1,15 @@
-//! Differential property tests: the optimized event core (4-ary packed-key
-//! [`EventQueue`] + generational [`TimerSlab`] with lazy cancellation)
-//! against a deliberately naive reference implementation.
+//! Differential property tests: the optimized event core (two-lane 4-ary
+//! packed-key [`EventQueue`] + generational [`TimerSlab`] with lazy
+//! cancellation) against a deliberately naive reference implementation.
 //!
 //! The reference is a `std::collections::BinaryHeap` of `Reverse((time,
 //! seq))` entries plus, for the timer model, a cancelled-ID set that is
 //! filtered at pop — the textbook way to write a DES queue. Every interleaving
 //! of schedules, cancellations, and pops must dispatch the *exact* same
 //! `(time, id)` sequence from both sides, including FIFO ordering of
-//! simultaneous events and the invisibility of cancelled timers. The time
-//! range is kept tiny so collisions (ties) are common rather than incidental.
+//! simultaneous events (within a lane and across the event and timer lanes)
+//! and the invisibility of cancelled timers. The time range is kept tiny so
+//! collisions (ties) are common rather than incidental.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
@@ -33,6 +34,51 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         2 => any::<u8>().prop_map(Op::Cancel),
         3 => Just(Op::Pop),
     ]
+}
+
+/// One step of the two-lane interleaving: plain events and timers share the
+/// queue, and only timers can be cancelled.
+#[derive(Debug, Clone)]
+enum LaneOp {
+    /// Schedule a plain event on the event lane, `dt` ns from now.
+    Event(u64),
+    /// Arm a timer on the timer lane, `dt` ns from now.
+    Timer(u64),
+    /// Cancel the k-th (mod live count) still-armed timer.
+    Cancel(u8),
+    /// Pop and dispatch the next live entry from both sides.
+    Pop,
+}
+
+/// What the two-lane queue pops: a plain event's id, or a timer's handle
+/// (converted from the timer lane's payload).
+#[derive(Debug)]
+enum Entry {
+    Event(u64),
+    Timer(TimerHandle),
+}
+
+impl From<TimerHandle> for Entry {
+    fn from(h: TimerHandle) -> Entry {
+        Entry::Timer(h)
+    }
+}
+
+/// Pop the two-lane side until a plain event or a live timer dispatches.
+fn pop_two_lane(
+    q: &mut EventQueue<Entry, TimerHandle>,
+    slab: &mut TimerSlab<u64>,
+) -> Option<(u64, u64)> {
+    while let Some((t, e)) = q.pop() {
+        let id = match e {
+            Entry::Event(id) => Some(id),
+            Entry::Timer(h) => slab.claim(h),
+        };
+        if let Some(id) = id {
+            return Some((t.as_nanos(), id));
+        }
+    }
+    None
 }
 
 /// Pop the optimized side until a live timer dispatches: cancelled handles
@@ -164,6 +210,76 @@ proptest! {
                 break;
             }
         }
+        prop_assert_eq!(slab.live(), 0);
+    }
+
+    /// Events and timers interleaved across the two lanes, with same-
+    /// nanosecond ties between them common: the merged pop sequence must be
+    /// the reference heap's, which holds every entry in one heap, and the
+    /// queue's high-water mark must be the reference's largest pending count
+    /// (cancelled timers stay pending until they drain, on both sides).
+    #[test]
+    fn two_lane_order_matches_reference(
+        ops in proptest::collection::vec(prop_oneof![
+            3 => (0u64..20).prop_map(LaneOp::Event),
+            3 => (0u64..20).prop_map(LaneOp::Timer),
+            2 => any::<u8>().prop_map(LaneOp::Cancel),
+            3 => Just(LaneOp::Pop),
+        ], 1..400),
+    ) {
+        let mut q: EventQueue<Entry, TimerHandle> = EventQueue::new();
+        let mut slab: TimerSlab<u64> = TimerSlab::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+        let mut cancelled: BTreeSet<u64> = BTreeSet::new();
+        let mut live: Vec<(TimerHandle, u64)> = Vec::new();
+        let mut ref_peak = 0usize;
+        let mut next_id = 0u64;
+        for op in ops {
+            match op {
+                LaneOp::Event(dt) | LaneOp::Timer(dt) => {
+                    let at = q.now() + SimDuration::from_nanos(dt);
+                    let id = next_id;
+                    next_id += 1;
+                    if let LaneOp::Timer(_) = op {
+                        let h = slab.arm(id);
+                        q.schedule_timer(at, h);
+                        live.push((h, id));
+                    } else {
+                        q.schedule(at, Entry::Event(id));
+                    }
+                    // Ids are issued in scheduling order, so they double as
+                    // the reference's FIFO tie-break.
+                    heap.push(Reverse((at.as_nanos(), id, id)));
+                    ref_peak = ref_peak.max(heap.len());
+                }
+                LaneOp::Cancel(k) => {
+                    if !live.is_empty() {
+                        let (h, id) = live.remove(k as usize % live.len());
+                        prop_assert_eq!(slab.cancel(h), Some(id));
+                        cancelled.insert(id);
+                    }
+                }
+                LaneOp::Pop => {
+                    let a = pop_two_lane(&mut q, &mut slab);
+                    let b = pop_reference(&mut heap, &mut cancelled);
+                    prop_assert_eq!(a, b);
+                    if let Some((_, id)) = a {
+                        live.retain(|&(_, i)| i != id);
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), heap.len());
+            prop_assert_eq!(q.high_water(), ref_peak);
+        }
+        loop {
+            let a = pop_two_lane(&mut q, &mut slab);
+            let b = pop_reference(&mut heap, &mut cancelled);
+            prop_assert_eq!(a, b);
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(q.high_water(), ref_peak);
         prop_assert_eq!(slab.live(), 0);
     }
 }

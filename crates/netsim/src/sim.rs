@@ -14,8 +14,9 @@ use crate::queue::{Queue, QueueConfig, QueueStats, QueueTable};
 /// Kept to 16 bytes: heap entries are sifted on every schedule/pop, so the
 /// payload size directly multiplies the hot loop's memory traffic. Packets
 /// travel as arena refs ([`PacketRef`], 8 bytes) rather than by value
-/// (~100 bytes), timers as slab handles, and the rare fault actions are
-/// boxed.
+/// (~100 bytes), and the rare fault actions are boxed. Timers wait in the
+/// queue's timer lane as bare 8-byte [`TimerHandle`]s and become
+/// [`NetEvent::Timer`] only when they pop.
 #[derive(Debug)]
 enum NetEvent {
     /// The head packet of a queue finished serializing.
@@ -31,6 +32,16 @@ enum NetEvent {
     /// and would otherwise double the event size).
     Fault(Box<FaultAction>),
 }
+
+impl From<TimerHandle> for NetEvent {
+    fn from(h: TimerHandle) -> NetEvent {
+        NetEvent::Timer(h)
+    }
+}
+
+/// The event queue: packet, start and fault events in one lane, armed
+/// timers (live or cancelled) in the other.
+type NetQueue = EventQueue<NetEvent, TimerHandle>;
 
 /// A traffic source or sink attached to the simulation.
 ///
@@ -61,7 +72,7 @@ pub struct NetCtx<'a> {
     me: EndpointId,
     now: SimTime,
     queues: &'a mut QueueTable,
-    events: &'a mut EventQueue<NetEvent>,
+    events: &'a mut NetQueue,
     arena: &'a mut PacketArena,
     timers: &'a mut TimerSlab<(EndpointId, u64)>,
     rng: &'a mut SimRng,
@@ -109,13 +120,13 @@ impl NetCtx<'_> {
     /// cancelled) the handle goes stale and cancelling it is a no-op.
     pub fn schedule_in(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         let h = self.timers.arm((self.me, token));
-        self.events.schedule(self.now + delay, NetEvent::Timer(h));
+        self.events.schedule_timer(self.now + delay, h);
         h
     }
 
     /// Cancel a timer armed with [`schedule_in`](Self::schedule_in). Returns
-    /// whether the timer was still live. The dead heap entry is drained
-    /// inside the event loop; the endpoint never sees it.
+    /// whether the timer was still live. The dead timer-lane entry is
+    /// drained inside the event loop; the endpoint never sees it.
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
         self.timers.cancel(h).is_some()
     }
@@ -143,7 +154,7 @@ impl NetCtx<'_> {
 /// service if idle. On drop the arena slot is freed immediately.
 fn enqueue(
     queues: &mut QueueTable,
-    events: &mut EventQueue<NetEvent>,
+    events: &mut NetQueue,
     arena: &mut PacketArena,
     now: SimTime,
     rng: &mut SimRng,
@@ -216,7 +227,7 @@ pub struct Simulation {
     /// Retired endpoint ids available for reuse (LIFO), so sustained churn
     /// recycles slots instead of growing `endpoints` without bound.
     free_endpoints: Vec<u32>,
-    events: EventQueue<NetEvent>,
+    events: NetQueue,
     arena: PacketArena,
     timers: TimerSlab<(EndpointId, u64)>,
     rng: SimRng,
@@ -228,7 +239,9 @@ pub struct Simulation {
 /// capacity-planning diagnostics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopStats {
-    /// Most pending events the heap ever held at once.
+    /// Most pending events the event queue ever held at once, counting both
+    /// of its lanes: packet/start/fault events and armed timers, cancelled
+    /// ones included until they drain.
     pub peak_heap: usize,
     /// Most packets ever in flight (arena occupancy) at once.
     pub peak_arena: usize,
@@ -261,11 +274,11 @@ impl Simulation {
         }
     }
 
-    /// Pre-size the event heap, packet arena, timer slab, and this thread's
-    /// route arena from the topology installed so far, so large runs don't
-    /// grow them incrementally mid-loop. Topology builders call this once
-    /// construction is complete; calling it is never required for
-    /// correctness.
+    /// Pre-size the event queue's event lane, packet arena, timer slab, and
+    /// this thread's route arena from the topology installed so far, so
+    /// large runs don't grow them incrementally mid-loop. Topology builders
+    /// call this once construction is complete; calling it is never
+    /// required for correctness.
     pub fn preallocate(&mut self) {
         let endpoints = self.endpoints.len();
         // Right-sized from measurement (see BENCH_perf.json): the event
@@ -276,9 +289,11 @@ impl Simulation {
         // before the first packet moved, and its non-power-of-two base made
         // the heap's later growth doublings land ~1.8× past the actual
         // peak. Reserve the modest, predictable part: start events and a
-        // little in-flight slack (power-of-two so doublings stay aligned),
-        // and exactly two timers per transport endpoint (RTO + pacing),
-        // which is the measured steady-state timer population.
+        // little in-flight slack (power-of-two so doublings stay aligned)
+        // in the queue's event lane, and two timer-slab slots per endpoint
+        // (the measured k=8 peak is 512 live timers for 256 endpoints: one
+        // RTO per subflow). The queue's timer lane, which also holds
+        // cancelled timers until they drain, grows on demand.
         let ev = (endpoints / 4 + 64).next_power_of_two();
         self.events.reserve(ev);
         self.arena.reserve(endpoints / 4 + 64);
@@ -863,6 +878,16 @@ mod tests {
         );
         sim.start_endpoint(src_id);
         (sim, src_id, dst_id, fwd_q, rev_q)
+    }
+
+    #[test]
+    fn queue_entry_payloads_keep_their_sizes() {
+        // The event lane's payload is a `NetEvent`, the timer lane's a bare
+        // handle; the memory figures in BENCH_perf.json rest on both, and
+        // endpoints keep `Option<TimerHandle>` fields at no extra cost.
+        assert_eq!(std::mem::size_of::<NetEvent>(), 16);
+        assert_eq!(std::mem::size_of::<TimerHandle>(), 8);
+        assert_eq!(std::mem::size_of::<Option<TimerHandle>>(), 8);
     }
 
     #[test]
