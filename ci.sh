@@ -147,8 +147,8 @@ cargo test --release --offline --test flow_crossval -- --include-ignored
 # comparison. The plain run steps each simulation with one `run_until`; the
 # traced run (--trace 1) steps it in 10 ms (packet) or 5 ms (flow) slices,
 # so the event queue's horizon check, `peek_time` and `advance_to` meet
-# pending entries of both lanes at every slice boundary, and the sliced run
-# must still match the pin.
+# pending entries of its heaps and delay lanes at every slice boundary, and
+# the sliced run must still match the pin.
 cargo test --offline --manifest-path perfbench/Cargo.toml
 for workload in packet_fattree packet_scenc_faults flow_churn; do
     for trace in 0 1; do
@@ -156,5 +156,25 @@ for workload in packet_fattree packet_scenc_faults flow_churn; do
             --workload "$workload" --seed 1 --trace "$trace" --seconds 0 >/dev/null
     done
 done
+# Then every pin: `perfbench pin` re-runs all 30 pinned (workload, seed)
+# pairs (seeds 1-10) and prints their digests and event counts, which must
+# equal perfbench/src/pins.rs tuple for tuple. pins.rs is rustfmt'd over
+# several lines per pin and the printout has one line per pin, so both are
+# reduced to `workload:"…",seed:N,digest:"…",events:N` tuples first. A
+# benchmark comparison runs held-out seeds, which have no pins, so this is
+# where a behaviour change on any pinned seed fails.
+pin_tuples() {
+    tr -d ' \n' <"$1" |
+        grep -oE 'workload:"[a-z_]+",seed:[0-9]+,digest:"[0-9a-f]+",events:[0-9]+' | sort
+}
+pin_log=$(mktemp)
+cargo run --quiet --offline --release --manifest-path perfbench/Cargo.toml -- pin >"$pin_log"
+if [[ "$(pin_tuples "$pin_log")" != "$(pin_tuples perfbench/src/pins.rs)" ]] ||
+    [[ $(pin_tuples perfbench/src/pins.rs | wc -l) -ne 30 ]]; then
+    echo "ci: perfbench pin disagrees with perfbench/src/pins.rs (or pins.rs lost a pin):"
+    diff <(pin_tuples perfbench/src/pins.rs) <(pin_tuples "$pin_log") || true
+    exit 1
+fi
+rm -f "$pin_log"
 
 echo "ci: all gates passed"

@@ -13,13 +13,15 @@
 //! * [`EventQueue`] — a priority queue of timestamped events with **FIFO
 //!   tie-breaking**: two events scheduled for the same instant fire in the
 //!   order they were scheduled. This removes a classic source of
-//!   non-determinism in heap-based simulators. Timers go to a lane of their
-//!   own, so cancelled ones awaiting drainage do not deepen the heap every
-//!   other event sifts through.
+//!   non-determinism in heap-based simulators. Timers go to a heap of their
+//!   own, so cancelled ones awaiting drainage do not deepen the heap other
+//!   events sift through, and events scheduled a fixed delay ahead
+//!   ([`EventQueue::schedule_after`]) wait in FIFO delay lanes that need no
+//!   sift at all.
 //! * [`SimRng`] — a seeded RNG wrapper so every stochastic choice in a
 //!   simulation is reproducible from a single `u64` seed.
 //! * [`TimerSlab`] / [`TimerHandle`] — generational cancellable timers
-//!   layered over the queue's timer lane, with lazy drainage of cancelled
+//!   layered over the queue's timer heap, with lazy drainage of cancelled
 //!   entries.
 //!
 //! The engine is intentionally synchronous and allocation-light (in the

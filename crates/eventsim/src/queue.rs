@@ -1,32 +1,46 @@
-//! The event queue: two 4-ary implicit min-heaps keyed on packed `(time, seq)`
-//! that draw their keys from one sequence counter.
+//! The event queue: two 4-ary implicit min-heaps and up to `LANES` FIFO
+//! delay lanes, all keyed on packed `(time, seq)` drawn from one sequence
+//! counter.
 //!
 //! The sequence number guarantees FIFO ordering of simultaneous events, which
 //! makes simulation runs bit-for-bit deterministic regardless of heap
 //! internals.
 //!
-//! # Two lanes
+//! # Three sources
 //!
-//! [`EventQueue::schedule`] feeds the event lane and
-//! [`EventQueue::schedule_timer`] the timer lane. Each lane is its own heap,
-//! and a pop takes whichever lane's root key is smaller. Keys are unique
-//! across both lanes (one counter), so the merged pop sequence is exactly
-//! that of a single heap holding every entry: same order, same ties, same
-//! high-water mark (counted over both lanes).
+//! [`EventQueue::schedule`] feeds the event heap,
+//! [`EventQueue::schedule_timer`] the timer heap and
+//! [`EventQueue::schedule_after`] a delay lane. A pop takes the least key
+//! among the event heap's root, the timer heap's root and the head of each
+//! delay lane. Keys are unique across all of them (one counter), so the
+//! merged pop sequence is exactly that of a single heap holding every entry:
+//! same order, same ties, same high-water mark (counted over every source).
 //!
-//! The split pays off because cancelled timers linger. Cancellation is lazy
-//! (see [`TimerSlab`](crate::TimerSlab)), so a dead timer stays pending until
-//! its time comes. In a k=8 FatTree run the pending set peaks at ~162k
+//! The timer heap pays off because cancelled timers linger. Cancellation is
+//! lazy (see [`TimerSlab`](crate::TimerSlab)), so a dead timer stays pending
+//! until its time comes. In a k=8 FatTree run the pending set peaks at ~162k
 //! entries, of which at most ~10³ are packet events and the rest RTO timers,
-//! nearly all cancelled. With its own lane, the packet traffic sifts through
-//! a heap of ~10³ entries instead of ~10⁵, and a timer entry stores only the
-//! timer lane's payload type (netsim's is an 8-byte handle) rather than the
-//! full event type.
+//! nearly all cancelled. In a heap of their own they do not deepen the
+//! structure packet traffic goes through, and a timer entry stores only the
+//! timer payload type (netsim's is an 8-byte handle) rather than the full
+//! event type.
+//!
+//! A delay lane holds entries that were all scheduled the same delay after
+//! `now()`. The clock never moves back and the sequence counter only rises,
+//! so each new entry's key `(now + delay, seq)` exceeds every key already in
+//! its lane: the lane is sorted by construction, its head is its least key,
+//! and a `VecDeque` push and pop replace a heap sift. Packet traffic is
+//! almost all of this kind — a serialization ends one service time after it
+//! starts, and a packet reaches its next hop one link latency after it
+//! departs — and a run has only a handful of distinct such delays. A delay
+//! with no lane takes a new lane while fewer than `LANES` exist, otherwise
+//! an empty lane, which is re-keyed to it, and otherwise goes to the event
+//! heap: an unusual delay costs a heap sift, never a wrong order.
 //!
 //! # Why not `std::collections::BinaryHeap`?
 //!
-//! This queue is the single hottest structure in the simulator: every packet
-//! hop is at least two heap operations. Three deliberate layout choices buy a
+//! The heaps take whatever the lanes do not: start and fault events, timers,
+//! and link events past the lane cap. Three deliberate layout choices buy a
 //! measurable events/sec win over the former `BinaryHeap<Reverse<Entry>>`:
 //!
 //! * **Packed keys.** `(time, seq)` is encoded as one `u128`
@@ -51,24 +65,53 @@
 //! differs, but the comparator is a total order (seq is unique), so the pop
 //! sequence is fully determined regardless of internal arrangement. The
 //! differential property tests in `tests/differential.rs` pin this against a
-//! plain reference heap, across both lanes.
+//! plain reference heap, across the heaps and the delay lanes.
 
-use crate::SimTime;
+use std::collections::VecDeque;
 
-/// A deterministic timestamped event queue with a separate timer lane.
+use crate::{SimDuration, SimTime};
+
+/// A deterministic timestamped event queue with a separate timer heap and
+/// FIFO delay lanes.
 ///
 /// Events pop in nondecreasing time order; ties are broken by scheduling
-/// order, across both lanes. `E` is the event-lane payload and what every pop
-/// returns; `T` is the timer-lane payload, turned into an `E` by
-/// `E: From<T>` when it pops. With the default `T = E` the timer lane is just
-/// a second heap of the same type, which a caller may leave idle.
+/// order, across every source. `E` is the payload of the event heap and the
+/// delay lanes, and what every pop returns; `T` is the timer heap's payload,
+/// turned into an `E` by `E: From<T>` when it pops. With the default `T = E`
+/// the timer heap is just a second heap of the same type, which a caller may
+/// leave idle.
 #[derive(Debug)]
 pub struct EventQueue<E, T = E> {
     events: Heap<E>,
     timers: Heap<T>,
+    lanes: Vec<Lane<E>>,
+    pending: usize,
     seq: u64,
     now: SimTime,
     high_water: usize,
+}
+
+/// The most delay lanes a queue keeps. Distinct link-event delays measured
+/// per run: 3 in the benchmark's k=8 FatTree permutation (one propagation
+/// delay, two serialization times), 6 in Scenario C, up to 8 in Scenario A
+/// and 5 in Fig. 14's short-flow FatTree. Further delays reuse an empty lane
+/// or fall back to the event heap.
+const LANES: usize = 8;
+
+/// A delay lane: entries scheduled `delay` after the then-current time, in
+/// key order (see the module docs).
+#[derive(Debug)]
+struct Lane<E> {
+    delay: SimDuration,
+    entries: VecDeque<(u128, E)>,
+}
+
+/// Where the least pending key sits.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    Events,
+    Timers,
+    Lane(usize),
 }
 
 /// Heap arity: a node's four child keys are 64 contiguous bytes; see the
@@ -96,14 +139,16 @@ impl<E, T> EventQueue<E, T> {
         EventQueue {
             events: Heap::new(),
             timers: Heap::new(),
+            lanes: Vec::new(),
+            pending: 0,
             seq: 0,
             now: SimTime::ZERO,
             high_water: 0,
         }
     }
 
-    /// Reserve room in the event lane for at least `additional` more pending
-    /// events. The timer lane grows on demand.
+    /// Reserve room in the event heap for at least `additional` more pending
+    /// events. The timer heap and the delay lanes grow on demand.
     pub fn reserve(&mut self, additional: usize) {
         self.events.keys.reserve(additional);
         self.events.items.reserve(additional);
@@ -122,10 +167,36 @@ impl<E, T> EventQueue<E, T> {
     pub fn schedule(&mut self, at: SimTime, event: E) {
         let key = self.next_key(at);
         self.events.push(key, event);
-        self.high_water = self.high_water.max(self.len());
     }
 
-    /// Schedule `timer` on the timer lane to fire at absolute time `at`. It
+    /// Schedule `event` to fire `delay` after `now()`, on the delay lane for
+    /// `delay` (on the event heap if no lane is free for it). It pops in the
+    /// same order as if it had been passed to [`schedule`](Self::schedule)
+    /// with `now() + delay`; only the cost differs — an append instead of a
+    /// heap sift.
+    pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
+        let key = self.next_key(self.now + delay);
+        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
+            Some(i) => i,
+            None if self.lanes.len() < LANES => {
+                self.lanes.push(Lane {
+                    delay,
+                    entries: VecDeque::new(),
+                });
+                self.lanes.len() - 1
+            }
+            None => match self.lanes.iter().position(|l| l.entries.is_empty()) {
+                Some(i) => {
+                    self.lanes[i].delay = delay;
+                    i
+                }
+                None => return self.events.push(key, event),
+            },
+        };
+        self.lanes[lane].entries.push_back((key, event));
+    }
+
+    /// Schedule `timer` on the timer heap to fire at absolute time `at`. It
     /// pops as `E::from(timer)`, in the same order as if it had been passed
     /// to [`schedule`](Self::schedule).
     ///
@@ -133,11 +204,11 @@ impl<E, T> EventQueue<E, T> {
     pub fn schedule_timer(&mut self, at: SimTime, timer: T) {
         let key = self.next_key(at);
         self.timers.push(key, timer);
-        self.high_water = self.high_water.max(self.len());
     }
 
-    /// The key for an entry at `at`: the time plus the next sequence number,
-    /// drawn from the one counter both lanes share.
+    /// The key for a new entry at `at`: the time plus the next sequence
+    /// number, drawn from the one counter every source shares. Counts the
+    /// entry as pending.
     fn next_key(&mut self, at: SimTime) -> u128 {
         assert!(
             at >= self.now,
@@ -146,6 +217,8 @@ impl<E, T> EventQueue<E, T> {
         );
         let seq = self.seq;
         self.seq += 1;
+        self.pending += 1;
+        self.high_water = self.high_water.max(self.pending);
         pack(at, seq)
     }
 
@@ -159,9 +232,9 @@ impl<E, T> EventQueue<E, T> {
 
     /// Pop the earliest event only if it fires at or before `horizon`.
     ///
-    /// Equivalent to `peek_time()` + `pop()` but reads each lane's root key
-    /// once — this is the driver-loop fast path, where every event pays the
-    /// horizon check.
+    /// Equivalent to `peek_time()` + `pop()` but finds the least key once —
+    /// this is the driver-loop fast path, where every event pays the horizon
+    /// check.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)>
     where
         E: From<T>,
@@ -170,32 +243,41 @@ impl<E, T> EventQueue<E, T> {
         self.pop_through(pack(horizon, u64::MAX))
     }
 
-    /// The least pending key across both lanes, and whether the timer lane
-    /// holds it.
-    fn earliest(&self) -> Option<(u128, bool)> {
-        match (self.events.root(), self.timers.root()) {
-            (Some(e), Some(t)) if t < e => Some((t, true)),
-            (Some(e), _) => Some((e, false)),
-            (None, Some(t)) => Some((t, true)),
-            (None, None) => None,
+    /// The least pending key and its source: one scan over the two heap
+    /// roots and the head of every delay lane.
+    fn earliest(&self) -> Option<(u128, Source)> {
+        let mut best = self.events.root().map(|k| (k, Source::Events));
+        if let Some(k) = self.timers.root() {
+            if best.is_none_or(|(b, _)| k < b) {
+                best = Some((k, Source::Timers));
+            }
         }
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(&(k, _)) = lane.entries.front() {
+                if best.is_none_or(|(b, _)| k < b) {
+                    best = Some((k, Source::Lane(i)));
+                }
+            }
+        }
+        best
     }
 
-    /// Pop the entry with the least key across both lanes if that key is at
-    /// most `limit`.
+    /// Pop the entry with the least key across every source if that key is
+    /// at most `limit`.
     fn pop_through(&mut self, limit: u128) -> Option<(SimTime, E)>
     where
         E: From<T>,
     {
-        let (key, timer) = self.earliest()?;
+        let (key, source) = self.earliest()?;
         if key > limit {
             return None;
         }
-        let event = if timer {
-            E::from(self.timers.pop()?)
-        } else {
-            self.events.pop()?
+        let event = match source {
+            Source::Events => self.events.pop()?,
+            Source::Timers => E::from(self.timers.pop()?),
+            Source::Lane(i) => self.lanes.get_mut(i)?.entries.pop_front()?.1,
         };
+        self.pending -= 1;
         let at = unpack_time(key);
         debug_assert!(at >= self.now);
         self.now = at;
@@ -207,8 +289,8 @@ impl<E, T> EventQueue<E, T> {
     /// wall-clock-anchored bookkeeping — stat resets, utilization windows —
     /// sees the intended instant).
     ///
-    /// Panics if `at` is earlier than an already-pending event of either
-    /// lane (that event would then fire in the past) or before `now()`.
+    /// Panics if `at` is before `now()`, or later than the earliest pending
+    /// entry of any source (that entry would then fire in the past).
     pub fn advance_to(&mut self, at: SimTime) {
         assert!(at >= self.now, "clock must not move backwards");
         if let Some(t) = self.peek_time() {
@@ -217,39 +299,40 @@ impl<E, T> EventQueue<E, T> {
         self.now = at;
     }
 
-    /// Timestamp of the earliest pending event of either lane, if any.
+    /// Timestamp of the earliest pending event of any source, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.earliest().map(|(key, _)| unpack_time(key))
     }
 
-    /// Number of pending events, both lanes.
+    /// Number of pending events, every source.
     pub fn len(&self) -> usize {
-        self.events.keys.len() + self.timers.keys.len()
+        self.pending
     }
 
-    /// Whether no events are pending in either lane.
+    /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.pending == 0
     }
 
-    /// The most pending events ever held at once, both lanes together
+    /// The most pending events ever held at once, every source together
     /// (diagnostics: pre-sizing validation and the perf harness's
     /// `peak_heap` metric).
     pub fn high_water(&self) -> usize {
         self.high_water
     }
 
-    /// Iterate over the event lane's pending payloads in unspecified (heap)
-    /// order; the timer lane is not visited.
+    /// Iterate over the pending `E` payloads of the event heap and the delay
+    /// lanes in unspecified order; the timer heap is not visited.
     ///
     /// For diagnostics and conservation checks only — simulation logic must
     /// never depend on this order.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.events.items.iter()
+        let lanes = self.lanes.iter().flat_map(|l| l.entries.iter());
+        self.events.items.iter().chain(lanes.map(|(_, e)| e))
     }
 }
 
-/// One lane: a 4-ary implicit min-heap of packed keys, with payloads in a
+/// One heap: a 4-ary implicit min-heap of packed keys, with payloads in a
 /// parallel array at the same heap positions.
 #[derive(Debug)]
 struct Heap<P> {
@@ -454,18 +537,20 @@ mod tests {
 
     #[test]
     fn lanes_merge_in_schedule_order() {
-        // Same-instant entries pop in scheduling order whichever lane holds
-        // them; timer payloads come out through `From`.
+        // Same-instant entries pop in scheduling order whichever heap or
+        // delay lane holds them; timer payloads come out through `From`.
         let mut q: EventQueue<i64, u8> = EventQueue::new();
         let t = SimTime::from_nanos(5);
         q.schedule_timer(t, 1);
+        q.schedule_after(SimDuration::from_nanos(5), -5);
         q.schedule(t, -2);
         q.schedule_timer(t, 3);
+        q.schedule_after(SimDuration::from_nanos(5), -6);
         q.schedule(SimTime::from_nanos(4), -4);
-        assert_eq!((q.len(), q.high_water()), (4, 4));
-        assert_eq!(q.iter().count(), 2, "iter walks the event lane only");
+        assert_eq!((q.len(), q.high_water()), (6, 6));
+        assert_eq!(q.iter().count(), 4, "iter skips the timer heap only");
         let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![-4, 1, -2, 3]);
+        assert_eq!(order, vec![-4, 1, -5, -2, 3, -6]);
         assert!(q.is_empty());
     }
 

@@ -4,16 +4,16 @@
 //! deleting from the middle of a heap is O(n) and would perturb the layout.
 //! Instead, cancellation is **lazy**: arming a timer stores its metadata in a
 //! [`TimerSlab`] and puts only the returned [`TimerHandle`] on the queue's
-//! timer lane ([`EventQueue::schedule_timer`](crate::EventQueue::schedule_timer));
+//! timer heap ([`EventQueue::schedule_timer`](crate::EventQueue::schedule_timer));
 //! cancelling releases the slab slot (bumping its generation); when the
 //! handle eventually pops, [`TimerSlab::claim`] returns `None` for it and the
 //! driver drops it without dispatching. Dead entries thus cost one pop each
-//! from the timer lane — the same count the old "version the token, ignore
+//! from the timer heap — the same count the old "version the token, ignore
 //! stale fires at the endpoint" scheme paid — but they wait in a heap of
 //! their own, so however many pile up (per-ACK RTO restarts leave ~10⁵ at
-//! k=8 FatTree scale) the event lane that carries packet traffic stays
-//! small. The bookkeeping is centralized, O(1), and type-checked instead of
-//! re-implemented per endpoint.
+//! k=8 FatTree scale) packet traffic, which waits in the queue's delay lanes
+//! and event heap, never sifts past them. The bookkeeping is centralized,
+//! O(1), and type-checked instead of re-implemented per endpoint.
 //!
 //! Generations make handle reuse safe: a slot freed by cancel/claim
 //! increments its generation, so a handle held past its timer's lifetime can

@@ -1,20 +1,21 @@
-//! Differential property tests: the optimized event core (two-lane 4-ary
-//! packed-key [`EventQueue`] + generational [`TimerSlab`] with lazy
-//! cancellation) against a deliberately naive reference implementation.
+//! Differential property tests: the optimized event core ([`EventQueue`]:
+//! 4-ary packed-key event and timer heaps plus FIFO delay lanes, and the
+//! generational [`TimerSlab`] with lazy cancellation) against a deliberately
+//! naive reference implementation.
 //!
 //! The reference is a `std::collections::BinaryHeap` of `Reverse((time,
 //! seq))` entries plus, for the timer model, a cancelled-ID set that is
 //! filtered at pop — the textbook way to write a DES queue. Every interleaving
 //! of schedules, cancellations, and pops must dispatch the *exact* same
 //! `(time, id)` sequence from both sides, including FIFO ordering of
-//! simultaneous events (within a lane and across the event and timer lanes)
-//! and the invisibility of cancelled timers. The time range is kept tiny so
-//! collisions (ties) are common rather than incidental.
+//! simultaneous events (within one source and across the heaps and the delay
+//! lanes) and the invisibility of cancelled timers. The time range is kept
+//! tiny so collisions (ties) are common rather than incidental.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, BinaryHeap};
 
-use eventsim::{EventQueue, SimDuration, TimerHandle, TimerSlab};
+use eventsim::{EventQueue, SimDuration, SimTime, TimerHandle, TimerSlab};
 use proptest::prelude::*;
 
 /// One step of the differential schedule/cancel/pop interleaving.
@@ -36,22 +37,31 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One step of the two-lane interleaving: plain events and timers share the
-/// queue, and only timers can be cancelled.
+/// One step of the all-source interleaving: plain events, delay-lane events
+/// and timers share the queue, and only timers can be cancelled.
 #[derive(Debug, Clone)]
 enum LaneOp {
-    /// Schedule a plain event on the event lane, `dt` ns from now.
+    /// Schedule a plain event on the event heap, `dt` ns from now.
     Event(u64),
-    /// Arm a timer on the timer lane, `dt` ns from now.
+    /// Schedule a plain event `dt` ns from now through `schedule_after`.
+    After(u64),
+    /// Arm a timer on the timer heap, `dt` ns from now.
     Timer(u64),
     /// Cancel the k-th (mod live count) still-armed timer.
     Cancel(u8),
     /// Pop and dispatch the next live entry from both sides.
     Pop,
+    /// Pop the next live entry due at most `dt` ns from now, from both sides.
+    PopBy(u64),
 }
 
-/// What the two-lane queue pops: a plain event's id, or a timer's handle
-/// (converted from the timer lane's payload).
+/// The delays `LaneOp::After` draws from: more than the queue's eight delay
+/// lanes, so a delay may find every lane taken and need an empty one re-keyed
+/// or, failing that, the event heap.
+const AFTER_DELAYS: [u64; 12] = [0, 1, 2, 3, 5, 7, 8, 11, 13, 16, 18, 20];
+
+/// What the all-source queue pops: a plain event's id, or a timer's handle
+/// (converted from the timer heap's payload).
 #[derive(Debug)]
 enum Entry {
     Event(u64),
@@ -64,12 +74,14 @@ impl From<TimerHandle> for Entry {
     }
 }
 
-/// Pop the two-lane side until a plain event or a live timer dispatches.
-fn pop_two_lane(
+/// Pop the all-source side until a plain event or a live timer due at most
+/// at `horizon` dispatches.
+fn pop_all_sources(
     q: &mut EventQueue<Entry, TimerHandle>,
     slab: &mut TimerSlab<u64>,
+    horizon: SimTime,
 ) -> Option<(u64, u64)> {
-    while let Some((t, e)) = q.pop() {
+    while let Some((t, e)) = q.pop_at_or_before(horizon) {
         let id = match e {
             Entry::Event(id) => Some(id),
             Entry::Timer(h) => slab.claim(h),
@@ -97,7 +109,21 @@ fn pop_reference(
     heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>,
     cancelled: &mut BTreeSet<u64>,
 ) -> Option<(u64, u64)> {
-    while let Some(Reverse((t, _seq, id))) = heap.pop() {
+    pop_reference_by(heap, cancelled, u64::MAX)
+}
+
+/// Pop the reference side's next live entry due at most at `horizon` ns,
+/// draining cancelled entries due by then.
+fn pop_reference_by(
+    heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>,
+    cancelled: &mut BTreeSet<u64>,
+    horizon: u64,
+) -> Option<(u64, u64)> {
+    while let Some(&Reverse((t, _seq, id))) = heap.peek() {
+        if t > horizon {
+            break;
+        }
+        heap.pop();
         if cancelled.remove(&id) {
             continue;
         }
@@ -213,39 +239,48 @@ proptest! {
         prop_assert_eq!(slab.live(), 0);
     }
 
-    /// Events and timers interleaved across the two lanes, with same-
-    /// nanosecond ties between them common: the merged pop sequence must be
-    /// the reference heap's, which holds every entry in one heap, and the
-    /// queue's high-water mark must be the reference's largest pending count
-    /// (cancelled timers stay pending until they drain, on both sides).
+    /// Events, delay-lane events and timers interleaved across every source
+    /// of the queue, with same-nanosecond ties between them common and more
+    /// distinct delays than delay lanes: the merged pop sequence, full or cut
+    /// at a horizon, must be the reference heap's, which holds every entry in
+    /// one heap. The queue's pending count and high-water mark must be the
+    /// reference's (cancelled timers stay pending until they drain, on both
+    /// sides), and `iter` must visit exactly the pending non-timer entries.
     #[test]
     fn two_lane_order_matches_reference(
         ops in proptest::collection::vec(prop_oneof![
             3 => (0u64..20).prop_map(LaneOp::Event),
+            4 => (0..AFTER_DELAYS.len()).prop_map(|i| LaneOp::After(AFTER_DELAYS[i])),
             3 => (0u64..20).prop_map(LaneOp::Timer),
             2 => any::<u8>().prop_map(LaneOp::Cancel),
             3 => Just(LaneOp::Pop),
+            2 => (0u64..20).prop_map(LaneOp::PopBy),
         ], 1..400),
     ) {
         let mut q: EventQueue<Entry, TimerHandle> = EventQueue::new();
         let mut slab: TimerSlab<u64> = TimerSlab::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
         let mut cancelled: BTreeSet<u64> = BTreeSet::new();
+        let mut timer_ids: BTreeSet<u64> = BTreeSet::new();
         let mut live: Vec<(TimerHandle, u64)> = Vec::new();
         let mut ref_peak = 0usize;
         let mut next_id = 0u64;
         for op in ops {
             match op {
-                LaneOp::Event(dt) | LaneOp::Timer(dt) => {
-                    let at = q.now() + SimDuration::from_nanos(dt);
+                LaneOp::Event(dt) | LaneOp::After(dt) | LaneOp::Timer(dt) => {
+                    let delay = SimDuration::from_nanos(dt);
+                    let at = q.now() + delay;
                     let id = next_id;
                     next_id += 1;
-                    if let LaneOp::Timer(_) = op {
-                        let h = slab.arm(id);
-                        q.schedule_timer(at, h);
-                        live.push((h, id));
-                    } else {
-                        q.schedule(at, Entry::Event(id));
+                    match op {
+                        LaneOp::Timer(_) => {
+                            let h = slab.arm(id);
+                            q.schedule_timer(at, h);
+                            live.push((h, id));
+                            timer_ids.insert(id);
+                        }
+                        LaneOp::After(_) => q.schedule_after(delay, Entry::Event(id)),
+                        _ => q.schedule(at, Entry::Event(id)),
                     }
                     // Ids are issued in scheduling order, so they double as
                     // the reference's FIFO tie-break.
@@ -259,9 +294,13 @@ proptest! {
                         cancelled.insert(id);
                     }
                 }
-                LaneOp::Pop => {
-                    let a = pop_two_lane(&mut q, &mut slab);
-                    let b = pop_reference(&mut heap, &mut cancelled);
+                LaneOp::Pop | LaneOp::PopBy(_) => {
+                    let horizon = match op {
+                        LaneOp::PopBy(dt) => q.now() + SimDuration::from_nanos(dt),
+                        _ => SimTime::from_nanos(u64::MAX),
+                    };
+                    let a = pop_all_sources(&mut q, &mut slab, horizon);
+                    let b = pop_reference_by(&mut heap, &mut cancelled, horizon.as_nanos());
                     prop_assert_eq!(a, b);
                     if let Some((_, id)) = a {
                         live.retain(|&(_, i)| i != id);
@@ -270,9 +309,14 @@ proptest! {
             }
             prop_assert_eq!(q.len(), heap.len());
             prop_assert_eq!(q.high_water(), ref_peak);
+            let ref_events = heap
+                .iter()
+                .filter(|Reverse((_, _, id))| !timer_ids.contains(id))
+                .count();
+            prop_assert_eq!(q.iter().count(), ref_events);
         }
         loop {
-            let a = pop_two_lane(&mut q, &mut slab);
+            let a = pop_all_sources(&mut q, &mut slab, SimTime::from_nanos(u64::MAX));
             let b = pop_reference(&mut heap, &mut cancelled);
             prop_assert_eq!(a, b);
             if a.is_none() {
