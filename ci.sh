@@ -42,7 +42,10 @@ fi
 rm -f "$test_log" "$test_log.failed" "$test_log.known"
 
 cargo fmt --check
-cargo clippy --offline --all-targets -- -D warnings
+# --workspace: at the root of this non-virtual workspace a bare
+# `--all-targets` lints only the root package's targets (and the member
+# libraries they build), never a member's tests, benches or own bins.
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: every intra-doc link must resolve to exactly one item, so a
 # deletion cannot leave a dangling [`name`] behind in the docs.

@@ -193,8 +193,10 @@ mod tests {
     /// violation with a byte-identical trace digest.
     #[test]
     fn injected_probe_cap_bug_is_found_and_shrunk() {
-        let mut tcp = TcpConfig::default();
-        tcp.reprobe_max = SimDuration::from_secs(16);
+        let tcp = TcpConfig {
+            reprobe_max: SimDuration::from_secs(16),
+            ..TcpConfig::default()
+        };
         let cfg = CampaignCfg {
             seed: 1,
             iterations: 500,

@@ -263,8 +263,10 @@ mod tests {
                 dur_s: 18.0,
             }],
         };
-        let mut tcp = TcpConfig::default();
-        tcp.reprobe_max = SimDuration::from_secs(16);
+        let tcp = TcpConfig {
+            reprobe_max: SimDuration::from_secs(16),
+            ..TcpConfig::default()
+        };
         let v = run_case_with(&case, tcp);
         assert!(!v.ok(), "oracle missed the raised probe cap");
         assert_eq!(v.category(), Some("re-probe backoff exceeds cap"));

@@ -365,8 +365,9 @@ mod tests {
                 .map(|i| PathView { established: dead[i] == 0, ..p(ws[i], ells[i]) })
                 .collect();
             let a = alpha_values(&paths);
-            for i in 0..n {
-                prop_assert_eq!(a[i], alpha_for(&paths, i));
+            prop_assert_eq!(a.len(), n);
+            for (i, &alpha) in a.iter().enumerate() {
+                prop_assert_eq!(alpha, alpha_for(&paths, i));
             }
         }
 

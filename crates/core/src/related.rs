@@ -147,8 +147,8 @@ mod tests {
             let mut e = Ewtcp::new();
             let mut s = SemiCoupled::new();
             let n = ws.len() as f64;
-            for i in 0..paths.len() {
-                prop_assert!((e.on_ack(&paths, i) - 1.0 / (n * ws[i])).abs() < 1e-12);
+            for (i, &w) in ws.iter().enumerate() {
+                prop_assert!((e.on_ack(&paths, i) - 1.0 / (n * w)).abs() < 1e-12);
                 prop_assert!((s.on_ack(&paths, i) - 1.0 / total).abs() < 1e-12);
             }
         }

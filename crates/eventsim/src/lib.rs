@@ -13,16 +13,18 @@
 //! * [`EventQueue`] — a priority queue of timestamped events with **FIFO
 //!   tie-breaking**: two events scheduled for the same instant fire in the
 //!   order they were scheduled. This removes a classic source of
-//!   non-determinism in heap-based simulators. Timers go to a heap of their
-//!   own, so cancelled ones awaiting drainage do not deepen the heap other
-//!   events sift through, and events scheduled a fixed delay ahead
-//!   ([`EventQueue::schedule_after`]) wait in FIFO delay lanes that need no
-//!   sift at all.
+//!   non-determinism in heap-based simulators. Events and timers scheduled a
+//!   fixed delay ahead ([`EventQueue::schedule_after`],
+//!   [`EventQueue::schedule_timer_after`]) wait in FIFO delay lanes that
+//!   need no sift at all and store each key as two 32-bit steps from the
+//!   entry before; the rest wait in an event heap and a timer heap. Timers
+//!   are kept apart from events, so cancelled ones awaiting drainage do not
+//!   deepen the structures other events go through.
 //! * [`SimRng`] — a seeded RNG wrapper so every stochastic choice in a
 //!   simulation is reproducible from a single `u64` seed.
 //! * [`TimerSlab`] / [`TimerHandle`] — generational cancellable timers
-//!   layered over the queue's timer heap, with lazy drainage of cancelled
-//!   entries.
+//!   layered over the queue's timer lanes and timer heap, with lazy drainage
+//!   of cancelled entries.
 //!
 //! The engine is intentionally synchronous and allocation-light (in the
 //! spirit of event-driven network stacks such as smoltcp): simulation is a

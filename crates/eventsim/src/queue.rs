@@ -1,29 +1,33 @@
 //! The event queue: two 4-ary implicit min-heaps and up to `LANES` FIFO
-//! delay lanes, all keyed on packed `(time, seq)` drawn from one sequence
-//! counter.
+//! delay lanes of each kind, all keyed on `(time, seq)` drawn from one
+//! sequence counter.
 //!
 //! The sequence number guarantees FIFO ordering of simultaneous events, which
 //! makes simulation runs bit-for-bit deterministic regardless of heap
 //! internals.
 //!
-//! # Three sources
+//! # Four sources
 //!
 //! [`EventQueue::schedule`] feeds the event heap,
-//! [`EventQueue::schedule_timer`] the timer heap and
-//! [`EventQueue::schedule_after`] a delay lane. A pop takes the least key
-//! among the event heap's root, the timer heap's root and the head of each
-//! delay lane. Keys are unique across all of them (one counter), so the
-//! merged pop sequence is exactly that of a single heap holding every entry:
-//! same order, same ties, same high-water mark (counted over every source).
+//! [`EventQueue::schedule_after`] an event delay lane and
+//! [`EventQueue::schedule_timer_after`] a timer delay lane; either falls back
+//! to the heap of its kind (event or timer) when no lane takes the entry. A
+//! pop takes the least key among the two heap roots and the least lane head
+//! of each kind, which each kind's lanes keep cached. Keys are unique across
+//! all of them (one counter), so the merged pop sequence is exactly that of
+//! a single heap holding every entry: same order, same ties, same high-water
+//! mark (counted over every source).
 //!
-//! The timer heap pays off because cancelled timers linger. Cancellation is
-//! lazy (see [`TimerSlab`](crate::TimerSlab)), so a dead timer stays pending
-//! until its time comes. In a k=8 FatTree run the pending set peaks at ~162k
-//! entries, of which at most ~10³ are packet events and the rest RTO timers,
-//! nearly all cancelled. In a heap of their own they do not deepen the
-//! structure packet traffic goes through, and a timer entry stores only the
-//! timer payload type (netsim's is an 8-byte handle) rather than the full
-//! event type.
+//! Timers are kept apart from events because cancelled timers linger.
+//! Cancellation is lazy (see [`TimerSlab`](crate::TimerSlab)), so a dead
+//! timer stays pending until its time comes. In a k=8 FatTree run the
+//! pending set peaks at ~162k entries, of which at most ~10³ are packet
+//! events and the rest RTO timers, nearly all cancelled. Kept apart they do
+//! not deepen the structures packet traffic goes through, and a timer entry
+//! stores only the timer payload type (netsim's is an 8-byte handle) rather
+//! than the full event type.
+//!
+//! # Delay lanes
 //!
 //! A delay lane holds entries that were all scheduled the same delay after
 //! `now()`. The clock never moves back and the sequence counter only rises,
@@ -32,16 +36,34 @@
 //! and a `VecDeque` push and pop replace a heap sift. Packet traffic is
 //! almost all of this kind — a serialization ends one service time after it
 //! starts, and a packet reaches its next hop one link latency after it
-//! departs — and a run has only a handful of distinct such delays. A delay
-//! with no lane takes a new lane while fewer than `LANES` exist, otherwise
-//! an empty lane, which is re-keyed to it, and otherwise goes to the event
-//! heap: an unusual delay costs a heap sift, never a wrong order.
+//! departs — and so are RTO timers, armed one RTO ahead, which is most often
+//! the minimum or the initial RTO. A run has only a handful of distinct such
+//! delays. A delay with no lane takes a new lane of its kind while fewer than
+//! `LANES` exist, otherwise an empty one, which is re-keyed to it, and
+//! otherwise goes to the heap of its kind: an unusual delay costs a heap
+//! sift, never a wrong order. A push changes its kind's least lane head only
+//! when it fills an empty lane, so only a pop rescans for it, and only the
+//! lanes of the kind it took from: RTOs above the floor keep all `LANES`
+//! timer lanes busy in Scenario C, and scanning every lane of both kinds on
+//! each pop measured ~7% slower there.
+//!
+//! A lane stores keys as steps. It keeps the absolute keys of its head and
+//! its tail, and each entry holds the time step (ns) and the seq step from
+//! the entry before it as two `u32`s; a pop advances the head by the next
+//! entry's steps. A lane entry is thus 8 bytes plus its payload, rounded up
+//! to the payload's alignment: 16 bytes for netsim's 8-byte timer handle and
+//! 24 for its 16-byte event, where a `u128` key would make both 32. At the
+//! k=8 FatTree peak the minimum-RTO lane alone holds ~161k entries. A step
+//! that does not fit in 32 bits (the lane's tail more than ~4.29 s of sim
+//! time or 2³² schedules older than the new entry) hands the entry to the
+//! heap of its kind, again a sift, never a wrong order.
 //!
 //! # Why not `std::collections::BinaryHeap`?
 //!
-//! The heaps take whatever the lanes do not: start and fault events, timers,
-//! and link events past the lane cap. Three deliberate layout choices buy a
-//! measurable events/sec win over the former `BinaryHeap<Reverse<Entry>>`:
+//! The heaps take whatever the lanes do not: start and fault events, and
+//! link events and timers past the lane cap or the 32-bit step. Three
+//! deliberate layout choices buy a measurable events/sec win over the former
+//! `BinaryHeap<Reverse<Entry>>`:
 //!
 //! * **Packed keys.** `(time, seq)` is encoded as one `u128`
 //!   (`time << 64 | seq`), so an ordering decision is a single integer
@@ -71,47 +93,77 @@ use std::collections::VecDeque;
 
 use crate::{SimDuration, SimTime};
 
-/// A deterministic timestamped event queue with a separate timer heap and
-/// FIFO delay lanes.
+/// A deterministic timestamped event queue: an event heap and event delay
+/// lanes, and a timer heap and timer delay lanes.
 ///
 /// Events pop in nondecreasing time order; ties are broken by scheduling
 /// order, across every source. `E` is the payload of the event heap and the
-/// delay lanes, and what every pop returns; `T` is the timer heap's payload,
-/// turned into an `E` by `E: From<T>` when it pops. With the default `T = E`
-/// the timer heap is just a second heap of the same type, which a caller may
-/// leave idle.
+/// event lanes, and what every pop returns; `T` is the payload of the timer
+/// heap and the timer lanes, turned into an `E` by `E: From<T>` when it
+/// pops. With the default `T = E` the timer side is just a second heap and
+/// set of lanes of the same type, which a caller may leave idle.
+///
+/// A heap entry costs a 16-byte key plus its payload; a lane entry costs two
+/// 4-byte key steps plus its payload, rounded up to the payload's alignment
+/// (see the module docs).
 #[derive(Debug)]
 pub struct EventQueue<E, T = E> {
     events: Heap<E>,
     timers: Heap<T>,
-    lanes: Vec<Lane<E>>,
+    event_lanes: Lanes<E>,
+    timer_lanes: Lanes<T>,
     pending: usize,
     seq: u64,
     now: SimTime,
     high_water: usize,
 }
 
-/// The most delay lanes a queue keeps. Distinct link-event delays measured
-/// per run: 3 in the benchmark's k=8 FatTree permutation (one propagation
-/// delay, two serialization times), 6 in Scenario C, up to 8 in Scenario A
-/// and 5 in Fig. 14's short-flow FatTree. Further delays reuse an empty lane
-/// or fall back to the event heap.
+/// The most delay lanes a queue keeps of each kind, event and timer.
+///
+/// Distinct link-event delays measured per run: 3 in the benchmark's k=8
+/// FatTree permutation (one propagation delay, two serialization times), 6
+/// in Scenario C, up to 8 in Scenario A and 5 in Fig. 14's short-flow
+/// FatTree. Timer delays measured on benchmark seed 8 (digest pass plus
+/// three reps): the k=8 FatTree permutation arms 1,410,104 timers on 2
+/// delays, 200 ms (the minimum RTO) and 250 ms (the initial RTO), and none
+/// falls back to the timer heap; faulted Scenario C arms 837,576 timers,
+/// 92% of them at its 200 ms floor, but its RTOs above the floor make 12,636
+/// distinct delays in all, so 42,392 arms (5%) fall back to the timer heap.
+/// Further delays reuse an empty lane or fall back to the heap of their
+/// kind.
 const LANES: usize = 8;
 
-/// A delay lane: entries scheduled `delay` after the then-current time, in
-/// key order (see the module docs).
+/// The delay lanes of one kind, and the least head key among them with its
+/// lane's index (see the module docs).
 #[derive(Debug)]
-struct Lane<E> {
-    delay: SimDuration,
-    entries: VecDeque<(u128, E)>,
+struct Lanes<P> {
+    lanes: Vec<Lane<P>>,
+    least: Option<(u128, usize)>,
 }
+
+/// A delay lane: entries scheduled `delay` after the then-current time, in
+/// key order, with their keys stored as steps (see the module docs). `head`
+/// and `tail` are the absolute keys of the first and last entries while the
+/// lane is non-empty; the head entry's own steps are unused.
+#[derive(Debug)]
+struct Lane<P> {
+    delay: SimDuration,
+    head: u128,
+    tail: u128,
+    entries: VecDeque<LaneEntry<P>>,
+}
+
+/// A lane entry: the time step (ns) and the seq step from the previous
+/// entry's key, then the payload.
+type LaneEntry<P> = (u32, u32, P);
 
 /// Where the least pending key sits.
 #[derive(Debug, Clone, Copy)]
 enum Source {
     Events,
     Timers,
-    Lane(usize),
+    EventLanes,
+    TimerLanes,
 }
 
 /// Heap arity: a node's four child keys are 64 contiguous bytes; see the
@@ -139,7 +191,8 @@ impl<E, T> EventQueue<E, T> {
         EventQueue {
             events: Heap::new(),
             timers: Heap::new(),
-            lanes: Vec::new(),
+            event_lanes: Lanes::new(),
+            timer_lanes: Lanes::new(),
             pending: 0,
             seq: 0,
             now: SimTime::ZERO,
@@ -169,41 +222,27 @@ impl<E, T> EventQueue<E, T> {
         self.events.push(key, event);
     }
 
-    /// Schedule `event` to fire `delay` after `now()`, on the delay lane for
-    /// `delay` (on the event heap if no lane is free for it). It pops in the
-    /// same order as if it had been passed to [`schedule`](Self::schedule)
-    /// with `now() + delay`; only the cost differs — an append instead of a
-    /// heap sift.
+    /// Schedule `event` to fire `delay` after `now()`, on the event lane for
+    /// `delay` (on the event heap if no lane takes it). It pops in the same
+    /// order as if it had been passed to [`schedule`](Self::schedule) with
+    /// `now() + delay`; only the cost differs — an append instead of a heap
+    /// sift.
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
         let key = self.next_key(self.now + delay);
-        let lane = match self.lanes.iter().position(|l| l.delay == delay) {
-            Some(i) => i,
-            None if self.lanes.len() < LANES => {
-                self.lanes.push(Lane {
-                    delay,
-                    entries: VecDeque::new(),
-                });
-                self.lanes.len() - 1
-            }
-            None => match self.lanes.iter().position(|l| l.entries.is_empty()) {
-                Some(i) => {
-                    self.lanes[i].delay = delay;
-                    i
-                }
-                None => return self.events.push(key, event),
-            },
-        };
-        self.lanes[lane].entries.push_back((key, event));
+        if let Err(event) = self.event_lanes.push(delay, key, event) {
+            self.events.push(key, event);
+        }
     }
 
-    /// Schedule `timer` on the timer heap to fire at absolute time `at`. It
-    /// pops as `E::from(timer)`, in the same order as if it had been passed
-    /// to [`schedule`](Self::schedule).
-    ///
-    /// Panics if `at` is in the simulated past.
-    pub fn schedule_timer(&mut self, at: SimTime, timer: T) {
-        let key = self.next_key(at);
-        self.timers.push(key, timer);
+    /// Schedule `timer` to fire `delay` after `now()`, on the timer lane for
+    /// `delay` (on the timer heap if no lane takes it). It pops as
+    /// `E::from(timer)`, in the same order as if it had been passed to
+    /// [`schedule`](Self::schedule) with `now() + delay`.
+    pub fn schedule_timer_after(&mut self, delay: SimDuration, timer: T) {
+        let key = self.next_key(self.now + delay);
+        if let Err(timer) = self.timer_lanes.push(delay, key, timer) {
+            self.timers.push(key, timer);
+        }
     }
 
     /// The key for a new entry at `at`: the time plus the next sequence
@@ -243,22 +282,20 @@ impl<E, T> EventQueue<E, T> {
         self.pop_through(pack(horizon, u64::MAX))
     }
 
-    /// The least pending key and its source: one scan over the two heap
-    /// roots and the head of every delay lane.
+    /// The least pending key and its source: the least of the two heap
+    /// roots and the two kinds' least lane heads.
     fn earliest(&self) -> Option<(u128, Source)> {
         let mut best = self.events.root().map(|k| (k, Source::Events));
-        if let Some(k) = self.timers.root() {
-            if best.is_none_or(|(b, _)| k < b) {
-                best = Some((k, Source::Timers));
-            }
-        }
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if let Some(&(k, _)) = lane.entries.front() {
+        let mut take = |key: Option<u128>, source: Source| {
+            if let Some(k) = key {
                 if best.is_none_or(|(b, _)| k < b) {
-                    best = Some((k, Source::Lane(i)));
+                    best = Some((k, source));
                 }
             }
-        }
+        };
+        take(self.timers.root(), Source::Timers);
+        take(self.event_lanes.least.map(|(k, _)| k), Source::EventLanes);
+        take(self.timer_lanes.least.map(|(k, _)| k), Source::TimerLanes);
         best
     }
 
@@ -275,7 +312,8 @@ impl<E, T> EventQueue<E, T> {
         let event = match source {
             Source::Events => self.events.pop()?,
             Source::Timers => E::from(self.timers.pop()?),
-            Source::Lane(i) => self.lanes.get_mut(i)?.entries.pop_front()?.1,
+            Source::EventLanes => self.event_lanes.pop()?,
+            Source::TimerLanes => E::from(self.timer_lanes.pop()?),
         };
         self.pending -= 1;
         let at = unpack_time(key);
@@ -321,14 +359,117 @@ impl<E, T> EventQueue<E, T> {
         self.high_water
     }
 
-    /// Iterate over the pending `E` payloads of the event heap and the delay
-    /// lanes in unspecified order; the timer heap is not visited.
+    /// Iterate over the pending `E` payloads of the event heap and the event
+    /// lanes in unspecified order; timers are not visited.
     ///
     /// For diagnostics and conservation checks only — simulation logic must
     /// never depend on this order.
     pub fn iter(&self) -> impl Iterator<Item = &E> {
-        let lanes = self.lanes.iter().flat_map(|l| l.entries.iter());
-        self.events.items.iter().chain(lanes.map(|(_, e)| e))
+        let lanes = self.event_lanes.lanes.iter().flat_map(|l| l.entries.iter());
+        self.events.items.iter().chain(lanes.map(|(_, _, e)| e))
+    }
+}
+
+impl<P> Lanes<P> {
+    fn new() -> Self {
+        Lanes {
+            lanes: Vec::new(),
+            least: None,
+        }
+    }
+
+    /// Append `item`, keyed `key` and scheduled `delay` ahead, to the lane
+    /// [`lane_for`](Self::lane_for) picks. Hands `item` back if no lane
+    /// takes it.
+    fn push(&mut self, delay: SimDuration, key: u128, item: P) -> Result<(), P> {
+        let Some(i) = self.lane_for(delay) else {
+            return Err(item);
+        };
+        self.lanes[i].push(key, item)?;
+        // `key` is its lane's head only if the lane was empty; otherwise it
+        // exceeds that head, and so the least head too.
+        if self.least.is_none_or(|(k, _)| key < k) {
+            self.least = Some((key, i));
+        }
+        Ok(())
+    }
+
+    /// Remove the least head's entry and return its payload, then rescan
+    /// for the new least head.
+    fn pop(&mut self) -> Option<P> {
+        let (_, i) = self.least?;
+        let item = self.lanes.get_mut(i)?.pop()?;
+        self.least = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(j, l)| Some((l.head()?, j)))
+            .min();
+        Some(item)
+    }
+
+    /// The lane for entries scheduled `delay` ahead: the lane keyed to
+    /// `delay`, else a new lane while fewer than `LANES` exist, else an
+    /// empty lane, re-keyed to `delay`. `None` if every lane holds entries
+    /// of other delays.
+    fn lane_for(&mut self, delay: SimDuration) -> Option<usize> {
+        if let Some(i) = self.lanes.iter().position(|l| l.delay == delay) {
+            return Some(i);
+        }
+        if self.lanes.len() < LANES {
+            self.lanes.push(Lane {
+                delay,
+                head: 0,
+                tail: 0,
+                entries: VecDeque::new(),
+            });
+            return Some(self.lanes.len() - 1);
+        }
+        let i = self.lanes.iter().position(|l| l.entries.is_empty())?;
+        self.lanes[i].delay = delay;
+        Some(i)
+    }
+}
+
+impl<P> Lane<P> {
+    /// The least key in the lane: its head's.
+    fn head(&self) -> Option<u128> {
+        (!self.entries.is_empty()).then_some(self.head)
+    }
+
+    /// Append `item` at `key`, which exceeds every key in the lane. A push
+    /// to an empty lane re-bases its head and tail. Hands `item` back if its
+    /// time or seq step from the tail does not fit in a `u32`.
+    fn push(&mut self, key: u128, item: P) -> Result<(), P> {
+        let (dt, dseq) = if self.entries.is_empty() {
+            self.head = key;
+            (0, 0)
+        } else {
+            // Both fields of `key` are at least the tail's (time never falls
+            // and seq rises), so the difference subtracts field by field
+            // with no borrow between them.
+            let step = key - self.tail;
+            match (
+                u32::try_from(step >> 64),
+                u32::try_from(step & u128::from(u64::MAX)),
+            ) {
+                (Ok(dt), Ok(dseq)) => (dt, dseq),
+                _ => return Err(item),
+            }
+        };
+        self.tail = key;
+        self.entries.push_back((dt, dseq, item));
+        Ok(())
+    }
+
+    /// Remove the head entry and return its payload, advancing the head key
+    /// by the next entry's steps.
+    fn pop(&mut self) -> Option<P> {
+        let (_, _, item) = self.entries.pop_front()?;
+        if let Some(&(dt, dseq, _)) = self.entries.front() {
+            self.head += (u128::from(dt) << 64) | u128::from(dseq);
+        }
+        Some(item)
     }
 }
 
@@ -541,14 +682,15 @@ mod tests {
         // delay lane holds them; timer payloads come out through `From`.
         let mut q: EventQueue<i64, u8> = EventQueue::new();
         let t = SimTime::from_nanos(5);
-        q.schedule_timer(t, 1);
-        q.schedule_after(SimDuration::from_nanos(5), -5);
+        let delay = SimDuration::from_nanos(5);
+        q.schedule_timer_after(delay, 1);
+        q.schedule_after(delay, -5);
         q.schedule(t, -2);
-        q.schedule_timer(t, 3);
-        q.schedule_after(SimDuration::from_nanos(5), -6);
+        q.schedule_timer_after(delay, 3);
+        q.schedule_after(delay, -6);
         q.schedule(SimTime::from_nanos(4), -4);
         assert_eq!((q.len(), q.high_water()), (6, 6));
-        assert_eq!(q.iter().count(), 4, "iter skips the timer heap only");
+        assert_eq!(q.iter().count(), 4, "iter skips timers only");
         let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![-4, 1, -5, -2, 3, -6]);
         assert!(q.is_empty());
@@ -558,7 +700,7 @@ mod tests {
     fn peek_and_horizon_see_the_timer_lane() {
         let mut q: EventQueue<i64, u8> = EventQueue::new();
         q.schedule(SimTime::from_nanos(20), -1);
-        q.schedule_timer(SimTime::from_nanos(10), 1);
+        q.schedule_timer_after(SimDuration::from_nanos(10), 1);
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
         assert_eq!(q.pop_at_or_before(SimTime::from_nanos(9)), None);
         assert_eq!(
@@ -577,8 +719,49 @@ mod tests {
     fn advance_past_a_pending_timer_panics() {
         let mut q: EventQueue<i64, u8> = EventQueue::new();
         q.schedule(SimTime::from_nanos(20), -1);
-        q.schedule_timer(SimTime::from_nanos(10), 1);
+        q.schedule_timer_after(SimDuration::from_nanos(10), 1);
         q.advance_to(SimTime::from_nanos(11));
+    }
+
+    #[test]
+    fn lane_steps_wider_than_32_bits_fall_back_to_the_heap() {
+        // An event and a timer 10 s ahead at each of three instants: the
+        // second pair's time step from its lane's tail is exactly u32::MAX
+        // ns, so it joins the lane; the third pair's is 2^32 ns, so it goes
+        // to the heap of its kind. All six pop in key order.
+        let mut q: EventQueue<i64, u8> = EventQueue::new();
+        let delay = SimDuration::from_secs(10);
+        let wide = u64::from(u32::MAX);
+        for (now, event, timer) in [(0, -1, 1), (wide, -2, 2), (2 * wide + 1, -3, 3)] {
+            q.advance_to(SimTime::from_nanos(now));
+            q.schedule_after(delay, event);
+            q.schedule_timer_after(delay, timer);
+        }
+        let event_lane = q.event_lanes.lanes[0].entries.len();
+        assert_eq!((event_lane, q.events.keys.len()), (2, 1));
+        let timer_lane = q.timer_lanes.lanes[0].entries.len();
+        assert_eq!((timer_lane, q.timers.keys.len()), (2, 1));
+        let popped: Vec<(u64, i64)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
+        let at = delay.as_nanos();
+        let expected = vec![
+            (at, -1),
+            (at, 1),
+            (at + wide, -2),
+            (at + wide, 2),
+            (at + 2 * wide + 1, -3),
+            (at + 2 * wide + 1, 3),
+        ];
+        assert_eq!(popped, expected);
+    }
+
+    #[test]
+    fn lane_entries_are_16_and_24_bytes() {
+        // Two u32 key steps beside the payload: 16 bytes with an 8-byte
+        // timer handle, 24 with a 16-byte, 8-aligned payload such as
+        // netsim's event. A u128 key would make both 32.
+        assert_eq!(std::mem::size_of::<LaneEntry<crate::TimerHandle>>(), 16);
+        assert_eq!(std::mem::size_of::<LaneEntry<[u64; 2]>>(), 24);
     }
 
     #[test]

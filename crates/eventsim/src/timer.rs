@@ -1,19 +1,22 @@
-//! Cancellable timers: a generational slab with lazy heap drainage.
+//! Cancellable timers: a generational slab with lazy queue drainage.
 //!
 //! The [`EventQueue`](crate::EventQueue) itself has no removal operation —
 //! deleting from the middle of a heap is O(n) and would perturb the layout.
 //! Instead, cancellation is **lazy**: arming a timer stores its metadata in a
 //! [`TimerSlab`] and puts only the returned [`TimerHandle`] on the queue's
-//! timer heap ([`EventQueue::schedule_timer`](crate::EventQueue::schedule_timer));
+//! timer side, a timer delay lane or the timer heap
+//! ([`EventQueue::schedule_timer_after`](crate::EventQueue::schedule_timer_after));
 //! cancelling releases the slab slot (bumping its generation); when the
 //! handle eventually pops, [`TimerSlab::claim`] returns `None` for it and the
 //! driver drops it without dispatching. Dead entries thus cost one pop each
-//! from the timer heap — the same count the old "version the token, ignore
-//! stale fires at the endpoint" scheme paid — but they wait in a heap of
-//! their own, so however many pile up (per-ACK RTO restarts leave ~10⁵ at
-//! k=8 FatTree scale) packet traffic, which waits in the queue's delay lanes
-//! and event heap, never sifts past them. The bookkeeping is centralized,
-//! O(1), and type-checked instead of re-implemented per endpoint.
+//! — the same count the old "version the token, ignore stale fires at the
+//! endpoint" scheme paid — but they wait apart from packet traffic, so
+//! however many pile up (per-ACK RTO restarts leave ~10⁵ at k=8 FatTree
+//! scale) link events, which wait in the queue's event lanes and event heap,
+//! never sift past them. An RTO timer's delay is most often the minimum or
+//! the initial RTO, so nearly every one waits in a timer lane at 16 bytes
+//! (key steps plus handle). The bookkeeping is centralized, O(1), and
+//! type-checked instead of re-implemented per endpoint.
 //!
 //! Generations make handle reuse safe: a slot freed by cancel/claim
 //! increments its generation, so a handle held past its timer's lifetime can

@@ -1,7 +1,7 @@
 //! Differential property tests: the optimized event core ([`EventQueue`]:
-//! 4-ary packed-key event and timer heaps plus FIFO delay lanes, and the
-//! generational [`TimerSlab`] with lazy cancellation) against a deliberately
-//! naive reference implementation.
+//! 4-ary packed-key event and timer heaps plus FIFO event and timer delay
+//! lanes, and the generational [`TimerSlab`] with lazy cancellation) against
+//! a deliberately naive reference implementation.
 //!
 //! The reference is a `std::collections::BinaryHeap` of `Reverse((time,
 //! seq))` entries plus, for the timer model, a cancelled-ID set that is
@@ -45,7 +45,7 @@ enum LaneOp {
     Event(u64),
     /// Schedule a plain event `dt` ns from now through `schedule_after`.
     After(u64),
-    /// Arm a timer on the timer heap, `dt` ns from now.
+    /// Arm a timer `dt` ns from now through `schedule_timer_after`.
     Timer(u64),
     /// Cancel the k-th (mod live count) still-armed timer.
     Cancel(u8),
@@ -55,13 +55,14 @@ enum LaneOp {
     PopBy(u64),
 }
 
-/// The delays `LaneOp::After` draws from: more than the queue's eight delay
-/// lanes, so a delay may find every lane taken and need an empty one re-keyed
-/// or, failing that, the event heap.
+/// The delays `LaneOp::After` and `LaneOp::Timer` draw from: more than the
+/// queue's eight delay lanes of each kind, so a delay may find every lane of
+/// its kind taken and need an empty one re-keyed or, failing that, the heap
+/// of its kind.
 const AFTER_DELAYS: [u64; 12] = [0, 1, 2, 3, 5, 7, 8, 11, 13, 16, 18, 20];
 
 /// What the all-source queue pops: a plain event's id, or a timer's handle
-/// (converted from the timer heap's payload).
+/// (converted from the timer side's payload).
 #[derive(Debug)]
 enum Entry {
     Event(u64),
@@ -146,16 +147,11 @@ proptest! {
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut heap: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
         let mut next_id = 0u64;
-        let mut drive = |q: &mut EventQueue<u64>,
-                         heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>|
-         -> (Option<(u64, u64)>, Option<(u64, u64)>) {
+        let drive = |q: &mut EventQueue<u64>, heap: &mut BinaryHeap<Reverse<(u64, u64, u64)>>| {
             (
                 q.pop().map(|(t, id)| (t.as_nanos(), id)),
-                heap.pop().map(|Reverse((t, seq, id))| {
-                    // seq doubles as the reference's FIFO tie-break.
-                    let _ = seq;
-                    (t, id)
-                }),
+                // seq doubles as the reference's FIFO tie-break.
+                heap.pop().map(|Reverse((t, _seq, id))| (t, id)),
             )
         };
         for op in ops {
@@ -241,7 +237,8 @@ proptest! {
 
     /// Events, delay-lane events and timers interleaved across every source
     /// of the queue, with same-nanosecond ties between them common and more
-    /// distinct delays than delay lanes: the merged pop sequence, full or cut
+    /// distinct delays than delay lanes of either kind, so lanes are re-keyed
+    /// and both heaps take lane overflow: the merged pop sequence, full or cut
     /// at a horizon, must be the reference heap's, which holds every entry in
     /// one heap. The queue's pending count and high-water mark must be the
     /// reference's (cancelled timers stay pending until they drain, on both
@@ -251,7 +248,7 @@ proptest! {
         ops in proptest::collection::vec(prop_oneof![
             3 => (0u64..20).prop_map(LaneOp::Event),
             4 => (0..AFTER_DELAYS.len()).prop_map(|i| LaneOp::After(AFTER_DELAYS[i])),
-            3 => (0u64..20).prop_map(LaneOp::Timer),
+            3 => (0..AFTER_DELAYS.len()).prop_map(|i| LaneOp::Timer(AFTER_DELAYS[i])),
             2 => any::<u8>().prop_map(LaneOp::Cancel),
             3 => Just(LaneOp::Pop),
             2 => (0u64..20).prop_map(LaneOp::PopBy),
@@ -275,7 +272,7 @@ proptest! {
                     match op {
                         LaneOp::Timer(_) => {
                             let h = slab.arm(id);
-                            q.schedule_timer(at, h);
+                            q.schedule_timer_after(delay, h);
                             live.push((h, id));
                             timer_ids.insert(id);
                         }

@@ -13,13 +13,15 @@ use crate::queue::{Queue, QueueConfig, QueueStats, QueueTable};
 ///
 /// `Service` and `Arrival` events are scheduled a fixed delay ahead (a
 /// service time, a link latency, or zero for direct delivery), so they wait
-/// in the queue's delay lanes; `Start` and `Fault` events wait in its event
-/// heap. Kept to 16 bytes: every pending entry is a 16-byte key plus this
-/// payload, so its size directly multiplies the hot loop's memory traffic.
-/// Packets travel as arena refs ([`PacketRef`], 8 bytes) rather than by
-/// value (~100 bytes), and the rare fault actions are boxed. Timers wait in
-/// the queue's timer heap as bare 8-byte [`TimerHandle`]s and become
-/// [`NetEvent::Timer`] only when they pop.
+/// in the queue's event lanes; `Start` and `Fault` events wait in its event
+/// heap. Kept to 16 bytes: every pending entry is this payload plus its key
+/// (8 bytes of steps in a lane, for a 24-byte entry; 16 bytes in a heap), so
+/// its size directly multiplies the hot loop's memory traffic. Packets
+/// travel as arena refs ([`PacketRef`], 8 bytes) rather than by value (~100
+/// bytes), and the rare fault actions are boxed. Timers wait in the queue's
+/// timer lanes (or, past the lane cap, its timer heap) as bare 8-byte
+/// [`TimerHandle`]s, 16 bytes a lane entry, and become [`NetEvent::Timer`]
+/// only when they pop.
 #[derive(Debug)]
 enum NetEvent {
     /// The head packet of a queue finished serializing.
@@ -42,8 +44,9 @@ impl From<TimerHandle> for NetEvent {
     }
 }
 
-/// The event queue: link events in its delay lanes, start and fault events
-/// in its event heap, armed timers (live or cancelled) in its timer heap.
+/// The event queue: link events in its event lanes, start and fault events
+/// in its event heap, armed timers (live or cancelled) in its timer lanes,
+/// or its timer heap when no timer lane takes them.
 type NetQueue = EventQueue<NetEvent, TimerHandle>;
 
 /// A traffic source or sink attached to the simulation.
@@ -124,7 +127,7 @@ impl NetCtx<'_> {
     /// cancelled) the handle goes stale and cancelling it is a no-op.
     pub fn schedule_in(&mut self, delay: SimDuration, token: u64) -> TimerHandle {
         let h = self.timers.arm((self.me, token));
-        self.events.schedule_timer(self.now + delay, h);
+        self.events.schedule_timer_after(delay, h);
         h
     }
 
@@ -244,8 +247,8 @@ pub struct Simulation {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopStats {
     /// Most pending events the event queue ever held at once, counting every
-    /// delay lane and both heaps: link, start and fault events and armed
-    /// timers, cancelled ones included until they drain.
+    /// delay lane of either kind and both heaps: link, start and fault events
+    /// and armed timers, cancelled ones included until they drain.
     pub peak_heap: usize,
     /// Most packets ever in flight (arena occupancy) at once.
     pub peak_arena: usize,
@@ -296,9 +299,10 @@ impl Simulation {
         // little slack (power-of-two so doublings stay aligned) in the
         // queue's event heap, and two timer-slab slots per endpoint (the
         // measured k=8 peak is 512 live timers for 256 endpoints: one RTO
-        // per subflow). In-flight link events live in the queue's delay
-        // lanes, and its timer heap also holds cancelled timers until they
-        // drain; both grow on demand.
+        // per subflow). In-flight link events live in the queue's event
+        // lanes, and armed timers, cancelled ones included until they drain,
+        // in its timer lanes (at k=8 the minimum-RTO lane peaks near 161k
+        // entries of 16 bytes); both grow on demand.
         let ev = (endpoints / 4 + 64).next_power_of_two();
         self.events.reserve(ev);
         self.arena.reserve(endpoints / 4 + 64);
@@ -901,10 +905,10 @@ mod tests {
 
     #[test]
     fn queue_entry_payloads_keep_their_sizes() {
-        // The event heap's and delay lanes' payload is a `NetEvent`, the
-        // timer heap's a bare handle; the memory figures in BENCH_perf.json
-        // rest on both, and endpoints keep `Option<TimerHandle>` fields at no
-        // extra cost.
+        // The event heap's and event lanes' payload is a `NetEvent`, the
+        // timer lanes' and timer heap's a bare handle; the memory figures in
+        // BENCH_perf.json rest on both, and endpoints keep
+        // `Option<TimerHandle>` fields at no extra cost.
         assert_eq!(std::mem::size_of::<NetEvent>(), 16);
         assert_eq!(std::mem::size_of::<TimerHandle>(), 8);
         assert_eq!(std::mem::size_of::<Option<TimerHandle>>(), 8);
