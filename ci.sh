@@ -70,6 +70,33 @@ mkdir -p results
 # trace and a schema-valid run report. --strict: "no reports found" must
 # fail, not vacuously pass.
 cargo build --release --offline -p bench
+
+# Table gate: the testbed binaries rewrite the 16 tracked Scenario A-C
+# tables (Figs. 1, 4, 5, 9-12, 17, Tables I-II, the epsilon family) at quick
+# scale, ~8 s on a 2-vCPU host, and any byte of difference from the
+# committed results/ fails here, so the tracked tables cannot drift from
+# the code that writes them.
+testbed_tables=()
+for t in fig1b_scenario_a_throughput fig1c_scenario_a_loss \
+    fig9_scenario_a_olia_throughput fig10_scenario_a_olia_loss \
+    fig4a_scenario_b_lia fig4b_scenario_b_optimal \
+    fig17_probing_rtt100 fig17_probing_rtt25 \
+    table1_scenario_b_lia table2_scenario_b_olia \
+    fig5b_scenario_c_analytic fig5c_scenario_c_measured fig5d_scenario_c_loss \
+    fig11_scenario_c_olia_throughput fig12_scenario_c_olia_loss \
+    ablation_epsilon_family; do
+    testbed_tables+=("results/$t.csv")
+done
+rm -f "${testbed_tables[@]}" # a table no binary writes shows as deleted
+for bin in scenario_a scenario_b scenario_c; do
+    REPRO_QUICK=1 "./target/release/$bin" >/dev/null
+done
+if ! git diff --exit-code --quiet -- "${testbed_tables[@]}"; then
+    echo "ci: the testbed binaries no longer write the tracked tables:"
+    git diff --stat -- "${testbed_tables[@]}"
+    exit 1
+fi
+
 rm -f results/ci_trace.*.jsonl results/repro_run.json
 MPTCP_TRACE=results/ci_trace ./target/release/repro_run scenarios/lossy_backup.json
 test -s results/ci_trace.custom.seed11.jsonl

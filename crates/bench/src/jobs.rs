@@ -1,13 +1,20 @@
 //! The paper's experiments as *callable jobs* for the `orchestra`
-//! experiment orchestrator.
+//! experiment orchestrator, and the one definition of each testbed
+//! measurement.
 //!
-//! Each figure/table binary under `src/bin/` sweeps a parameter grid and
-//! replicates every point over seeds in-process. The orchestrator instead
-//! wants the atom of that matrix — **one scenario at one parameter point at
-//! one seed, as a single deterministic simulation** — so it can shard the
-//! full grid across a worker pool. This module is that hook: a registry of
-//! [`ScenarioDef`]s, each pairing a run function (`fn(&JobCtx) ->
-//! JobOutput`) with the default paper parameter grid the figures use.
+//! The orchestrator wants the atom of an experiment matrix — **one
+//! scenario at one parameter point at one seed, as a single deterministic
+//! simulation** — so it can shard the full grid across a worker pool. This
+//! module is that hook: a registry of [`ScenarioDef`]s, each pairing a run
+//! function (`fn(&JobCtx) -> JobOutput`) with the default paper parameter
+//! grid the figures use.
+//!
+//! Scenarios A, B and C keep one packet-level body each ([`scenario_a`],
+//! [`scenario_b`], [`scenario_c`]): their registry jobs run it once at the
+//! job's seed, and the `scenario_a`/`scenario_b`/`scenario_c` binaries run
+//! it at every point of the same grids through [`crate::measure`], which
+//! replicates it over seeds. A figure table and an orchestra sweep of one
+//! point therefore run the same code.
 //!
 //! Contracts every job keeps:
 //!
@@ -33,7 +40,7 @@ use mpsim_core::Algorithm;
 use netsim::Simulation;
 use tcpsim::Connection;
 use topo::{ScenarioA, ScenarioAParams, ScenarioB, ScenarioBParams, ScenarioC, ScenarioCParams};
-use trace::{DigestSink, Tracer};
+use trace::{Digest64, DigestSink, Tracer};
 
 use crate::fattree::{self, LongFlows};
 use crate::json::Json;
@@ -279,10 +286,43 @@ fn algs(values: &[Algorithm]) -> Vec<Json> {
 // Scenario A (Figs. 1, 9, 10)
 // ---------------------------------------------------------------------------
 
-fn scenario_a_job(ctx: &JobCtx) -> JobOutput {
+/// Scenario A's packet-level body: build the network on `sim`, run `cfg`'s
+/// warm-up/measure protocol with start jitter drawn from `seed`, and read
+/// the normalized class throughputs and both bottlenecks' loss.
+pub fn scenario_a(
+    sim: &mut Simulation,
+    params: &ScenarioAParams,
+    cfg: &RunCfg,
+    seed: u64,
+) -> BTreeMap<String, f64> {
+    let s = ScenarioA::build(sim, params);
+    let all: Vec<Connection> = s.type1.iter().chain(s.type2.iter()).cloned().collect();
+    let mut rng = SimRng::seed_from_u64(seed ^ 0xA5A5);
+    let end = warmup_and_measure(sim, &all, cfg, &mut rng);
+    BTreeMap::from([
+        (
+            "type1_norm".to_string(),
+            mean_goodput_mbps(&s.type1, end) / params.c1_mbps,
+        ),
+        (
+            "type2_norm".to_string(),
+            mean_goodput_mbps(&s.type2, end) / params.c2_mbps,
+        ),
+        ("p1".to_string(), sim.queue_stats(s.r1).loss_probability()),
+        ("p2".to_string(), sim.queue_stats(s.r2).loss_probability()),
+    ])
+}
+
+/// Scenario A at `ctx`'s point: N1 = 10 × `ratio` type1 users against
+/// N2 = 10, at C1/C2 = `c1_over_c2`.
+pub fn scenario_a_params(ctx: &JobCtx) -> ScenarioAParams {
     let ratio = ctx.f64("ratio", 1.0);
     let c = ctx.f64("c1_over_c2", 1.0);
-    let params = ScenarioAParams::paper((10.0 * ratio) as usize, c, ctx.algorithm());
+    ScenarioAParams::paper((10.0 * ratio) as usize, c, ctx.algorithm())
+}
+
+fn scenario_a_job(ctx: &JobCtx) -> JobOutput {
+    let params = scenario_a_params(ctx);
     if ctx.backend() == Backend::Flow {
         let tc = flow_scenarios::scenario_a(
             params.n1,
@@ -301,25 +341,7 @@ fn scenario_a_job(ctx: &JobCtx) -> JobOutput {
             ])
         });
     }
-    let cfg = ctx.cfg();
-    instrumented(ctx, |sim| {
-        let s = ScenarioA::build(sim, &params);
-        let all: Vec<Connection> = s.type1.iter().chain(s.type2.iter()).cloned().collect();
-        let mut rng = SimRng::seed_from_u64(ctx.seed ^ 0xA5A5);
-        let end = warmup_and_measure(sim, &all, &cfg, &mut rng);
-        BTreeMap::from([
-            (
-                "type1_norm".to_string(),
-                mean_goodput_mbps(&s.type1, end) / params.c1_mbps,
-            ),
-            (
-                "type2_norm".to_string(),
-                mean_goodput_mbps(&s.type2, end) / params.c2_mbps,
-            ),
-            ("p1".to_string(), sim.queue_stats(s.r1).loss_probability()),
-            ("p2".to_string(), sim.queue_stats(s.r2).loss_probability()),
-        ])
-    })
+    instrumented(ctx, |sim| scenario_a(sim, &params, &ctx.cfg(), ctx.seed))
 }
 
 fn scenario_a_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
@@ -338,8 +360,40 @@ fn scenario_a_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
 // Scenario B (Tables I/II, Fig. 4)
 // ---------------------------------------------------------------------------
 
+/// Scenario B's packet-level body, as [`scenario_a`]: per-user Blue and Red
+/// rates, their aggregate, and the loss at ISPs X and T.
+pub fn scenario_b(
+    sim: &mut Simulation,
+    params: &ScenarioBParams,
+    cfg: &RunCfg,
+    seed: u64,
+) -> BTreeMap<String, f64> {
+    let s = ScenarioB::build(sim, params);
+    let all: Vec<Connection> = s.blue.iter().chain(s.red.iter()).cloned().collect();
+    let mut rng = SimRng::seed_from_u64(seed ^ 0xB4B4);
+    let end = warmup_and_measure(sim, &all, cfg, &mut rng);
+    let blue = mean_goodput_mbps(&s.blue, end);
+    let red = mean_goodput_mbps(&s.red, end);
+    BTreeMap::from([
+        ("blue_mbps".to_string(), blue),
+        ("red_mbps".to_string(), red),
+        (
+            "aggregate_mbps".to_string(),
+            blue * s.blue.len() as f64 + red * s.red.len() as f64,
+        ),
+        ("p_x".to_string(), sim.queue_stats(s.x).loss_probability()),
+        ("p_t".to_string(), sim.queue_stats(s.t).loss_probability()),
+    ])
+}
+
+/// Scenario B at `ctx`'s point: the paper's 15 + 15 users, with the Red
+/// users on one path or, with `red_multipath`, on two.
+pub fn scenario_b_params(ctx: &JobCtx) -> ScenarioBParams {
+    ScenarioBParams::paper(ctx.bool("red_multipath", false), ctx.algorithm())
+}
+
 fn scenario_b_job(ctx: &JobCtx) -> JobOutput {
-    let params = ScenarioBParams::paper(ctx.bool("red_multipath", false), ctx.algorithm());
+    let params = scenario_b_params(ctx);
     if ctx.backend() == Backend::Flow {
         let tc = flow_scenarios::scenario_b(
             params.nb,
@@ -359,25 +413,7 @@ fn scenario_b_job(ctx: &JobCtx) -> JobOutput {
             ])
         });
     }
-    let cfg = ctx.cfg();
-    instrumented(ctx, |sim| {
-        let s = ScenarioB::build(sim, &params);
-        let all: Vec<Connection> = s.blue.iter().chain(s.red.iter()).cloned().collect();
-        let mut rng = SimRng::seed_from_u64(ctx.seed ^ 0xB4B4);
-        let end = warmup_and_measure(sim, &all, &cfg, &mut rng);
-        let blue = mean_goodput_mbps(&s.blue, end);
-        let red = mean_goodput_mbps(&s.red, end);
-        BTreeMap::from([
-            ("blue_mbps".to_string(), blue),
-            ("red_mbps".to_string(), red),
-            (
-                "aggregate_mbps".to_string(),
-                blue * s.blue.len() as f64 + red * s.red.len() as f64,
-            ),
-            ("p_x".to_string(), sim.queue_stats(s.x).loss_probability()),
-            ("p_t".to_string(), sim.queue_stats(s.t).loss_probability()),
-        ])
-    })
+    instrumented(ctx, |sim| scenario_b(sim, &params, &ctx.cfg(), ctx.seed))
 }
 
 fn scenario_b_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
@@ -398,10 +434,42 @@ fn scenario_b_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
 // Scenario C (Figs. 5, 11, 12) — also the ε-family ablation
 // ---------------------------------------------------------------------------
 
-fn scenario_c_job(ctx: &JobCtx) -> JobOutput {
+/// Scenario C's packet-level body, as [`scenario_a`]: the normalized
+/// multipath and single-path throughputs and the loss at both APs.
+pub fn scenario_c(
+    sim: &mut Simulation,
+    params: &ScenarioCParams,
+    cfg: &RunCfg,
+    seed: u64,
+) -> BTreeMap<String, f64> {
+    let s = ScenarioC::build(sim, params);
+    let all: Vec<Connection> = s.multipath.iter().chain(s.single.iter()).cloned().collect();
+    let mut rng = SimRng::seed_from_u64(seed ^ 0xC3C3);
+    let end = warmup_and_measure(sim, &all, cfg, &mut rng);
+    BTreeMap::from([
+        (
+            "multipath_norm".to_string(),
+            mean_goodput_mbps(&s.multipath, end) / params.c1_mbps,
+        ),
+        (
+            "single_norm".to_string(),
+            mean_goodput_mbps(&s.single, end) / params.c2_mbps,
+        ),
+        ("p1".to_string(), sim.queue_stats(s.ap1).loss_probability()),
+        ("p2".to_string(), sim.queue_stats(s.ap2).loss_probability()),
+    ])
+}
+
+/// Scenario C at `ctx`'s point: N1 = 10 × `ratio` multipath users against
+/// N2 = 10, at C1/C2 = `c1_over_c2`.
+pub fn scenario_c_params(ctx: &JobCtx) -> ScenarioCParams {
     let ratio = ctx.f64("ratio", 1.0);
     let c = ctx.f64("c1_over_c2", 1.0);
-    let params = ScenarioCParams::paper((10.0 * ratio) as usize, c, ctx.algorithm());
+    ScenarioCParams::paper((10.0 * ratio) as usize, c, ctx.algorithm())
+}
+
+fn scenario_c_job(ctx: &JobCtx) -> JobOutput {
+    let params = scenario_c_params(ctx);
     if ctx.backend() == Backend::Flow {
         let tc = flow_scenarios::scenario_c(
             params.n1,
@@ -420,25 +488,7 @@ fn scenario_c_job(ctx: &JobCtx) -> JobOutput {
             ])
         });
     }
-    let cfg = ctx.cfg();
-    instrumented(ctx, |sim| {
-        let s = ScenarioC::build(sim, &params);
-        let all: Vec<Connection> = s.multipath.iter().chain(s.single.iter()).cloned().collect();
-        let mut rng = SimRng::seed_from_u64(ctx.seed ^ 0xC3C3);
-        let end = warmup_and_measure(sim, &all, &cfg, &mut rng);
-        BTreeMap::from([
-            (
-                "multipath_norm".to_string(),
-                mean_goodput_mbps(&s.multipath, end) / params.c1_mbps,
-            ),
-            (
-                "single_norm".to_string(),
-                mean_goodput_mbps(&s.single, end) / params.c2_mbps,
-            ),
-            ("p1".to_string(), sim.queue_stats(s.ap1).loss_probability()),
-            ("p2".to_string(), sim.queue_stats(s.ap2).loss_probability()),
-        ])
-    })
+    instrumented(ctx, |sim| scenario_c(sim, &params, &ctx.cfg(), ctx.seed))
 }
 
 /// Figs. 5(c,d), 11 and 12: N1 ∈ {5, 10, 20, 30} multipath users against
@@ -455,7 +505,7 @@ fn scenario_c_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
     ]
 }
 
-/// The ε-family ablation (`ablation_epsilon_family`): Scenario C at
+/// The ε-family ablation (the `scenario_c` binary's last table): Scenario C at
 /// N1 = N2 = 10, C1/C2 = 2, across the coupling spectrum of §II, the
 /// related-work baselines and the probing-cost oracle.
 fn epsilon_family_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
@@ -811,6 +861,60 @@ pub fn find(name: &str) -> Option<&'static ScenarioDef> {
     REGISTRY.iter().find(|d| d.name == name)
 }
 
+/// The points of a parameter grid: the cartesian product of its axes, the
+/// first axis varying slowest and each axis's values in listed order.
+pub fn points(axes: &[(String, Vec<Json>)]) -> Vec<BTreeMap<String, Json>> {
+    let mut points = vec![BTreeMap::new()];
+    for (axis, values) in axes {
+        let mut next = Vec::with_capacity(points.len() * values.len());
+        for point in &points {
+            for v in values {
+                let mut p = point.clone();
+                p.insert(axis.clone(), v.clone());
+                next.push(p);
+            }
+        }
+        points = next;
+    }
+    points
+}
+
+/// `scenario?axis=value&...` with axes in sorted order; string values are
+/// embedded raw (no quotes), everything else in JSON spelling. Orchestra
+/// keys its jobs and sweep points by it, and [`crate::measure`] names its
+/// trace files after it.
+pub fn point_key(scenario: &str, params: &BTreeMap<String, Json>) -> String {
+    if params.is_empty() {
+        return scenario.to_string();
+    }
+    let parts: Vec<String> = params
+        .iter()
+        .map(|(k, v)| match v {
+            Json::String(s) => format!("{k}={s}"),
+            other => format!("{k}={}", other.render()),
+        })
+        .collect();
+    format!("{scenario}?{}", parts.join("&"))
+}
+
+/// A filesystem-safe stem for a key: the key with non-`[A-Za-z0-9._-]`
+/// bytes folded to `-`, truncated, plus a short hash of the full key so
+/// distinct keys never collide.
+pub fn file_stem(key: &str) -> String {
+    let mut s: String = key
+        .chars()
+        .map(|c| {
+            if c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-' {
+                c
+            } else {
+                '-'
+            }
+        })
+        .collect();
+    s.truncate(80);
+    format!("{s}-{:08x}", Digest64::of(key.as_bytes()) as u32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -875,6 +979,33 @@ mod tests {
             out.metrics.keys().collect::<Vec<_>>(),
             vec!["multipath_norm", "p1", "p2", "single_norm"],
         );
+    }
+
+    #[test]
+    fn scenario_c_job_and_measure_return_the_same_metrics() {
+        // The registry job (digest sink on) and `crate::measure` run one
+        // body, so at one seed an orchestra sweep and a figure table agree,
+        // and the digest sink does not change the results.
+        let mut ctx = JobCtx::new(5, true);
+        for (axis, value) in [
+            ("algorithm", Json::from("olia")),
+            ("c1_over_c2", Json::from(1.0)),
+            ("ratio", Json::from(0.5)),
+        ] {
+            ctx.params.insert(axis.to_string(), value);
+        }
+        let job = scenario_c_job(&ctx);
+        assert_ne!(job.digest, "-");
+        let key = point_key("scenario_c", &ctx.params);
+        let measured = crate::measure(&key, scenario_c, &scenario_c_params(&ctx), &ctx.cfg());
+        let means: BTreeMap<String, f64> = measured
+            .iter()
+            .map(|(k, s)| {
+                assert_eq!(s.n, 1);
+                (k.clone(), s.mean)
+            })
+            .collect();
+        assert_eq!(job.metrics, means);
     }
 
     #[test]
@@ -962,6 +1093,21 @@ mod tests {
         let again = scenario_c_job(&ctx);
         assert_eq!(flow.digest, again.digest);
         assert_eq!(flow.metrics, again.metrics);
+    }
+
+    #[test]
+    fn file_stems_are_safe_and_distinct() {
+        let a = file_stem("smoke?algorithm=lia&c1_over_c2=0.8#seed=1");
+        let b = file_stem("smoke?algorithm=lia&c1_over_c2=0.8#seed=2");
+        assert_ne!(a, b);
+        assert!(a
+            .chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-'));
+        // Long keys truncate but stay distinct via the hash suffix.
+        let long1 = file_stem(&format!("x?p={}#seed=1", "y".repeat(200)));
+        let long2 = file_stem(&format!("x?p={}#seed=2", "y".repeat(200)));
+        assert_ne!(long1, long2);
+        assert!(long1.len() < 100);
     }
 
     #[test]

@@ -6,38 +6,44 @@
 //! Pareto-Optimal"* (Khalili et al., CoNEXT 2012).
 //!
 //! Each table and figure of the paper has a binary under `src/bin/` that
-//! reruns the experiment and prints the paper's rows/series; the shared
-//! machinery lives here so the workspace's integration tests can reuse it:
+//! reruns the experiment and prints the paper's rows/series (one binary per
+//! testbed scenario covers all of that scenario's figures and tables); the
+//! shared machinery lives here so the workspace's integration tests can
+//! reuse it:
 //!
 //! * [`RunCfg`] — warmup/measurement windows and replication seeds
 //!   (`quick()` for CI-scale runs, `paper()` for full-length ones; the
 //!   `REPRO_QUICK` environment variable switches the binaries);
-//! * [`scenario_a`], [`scenario_b`], [`scenario_c`] — packet-level
-//!   measurements of the three testbed scenarios;
+//! * [`measure`] — one testbed point replicated over seeds, through the
+//!   packet-level body its registry job runs, and [`Sweep`] — `measure` at
+//!   every point of registry grids, read back as table rows;
+//! * [`jobs`] — the scenarios as single-seed callable jobs with their paper
+//!   parameter grids, for the `orchestra` experiment orchestrator, and the
+//!   packet-level bodies of Scenarios A, B and C;
 //! * [`traces`] — the window/α time series of Figs. 7–8;
 //! * [`fattree`] — the data-center experiments of Figs. 13–14/Table III;
 //! * [`table`] — aligned-table printing and CSV output under `results/`;
 //! * [`config`] — JSON-described custom scenarios (the `repro_run` CLI);
-//! * [`jobs`] — the scenarios as single-seed callable jobs with their paper
-//!   parameter grids, for the `orchestra` experiment orchestrator;
 //! * [`report`] — machine-readable JSON run reports under `results/`
 //!   (schema-versioned; includes events/sec and sim/wall profiling);
 //! * [`tracing`] — `MPTCP_TRACE`-driven structured JSONL trace capture for
-//!   any binary.
+//!   the binaries.
 
 pub mod config;
 pub mod fattree;
 pub mod jobs;
 pub mod json;
 pub mod report;
-pub mod scenario_a;
-pub mod scenario_b;
-pub mod scenario_c;
 pub mod table;
 pub mod traces;
 pub mod tracing;
 
+use std::collections::BTreeMap;
+
 use eventsim::{SimDuration, SimRng, SimTime};
+use jobs::JobCtx;
+use json::Json;
+use metrics::Summary;
 use netsim::Simulation;
 use tcpsim::Connection;
 
@@ -79,9 +85,14 @@ impl RunCfg {
         }
     }
 
+    /// Whether the environment variable `REPRO_QUICK` asks for CI scale.
+    fn quick_from_env() -> bool {
+        std::env::var_os("REPRO_QUICK").is_some()
+    }
+
     /// `paper()` unless the environment variable `REPRO_QUICK` is set.
     pub fn from_env() -> RunCfg {
-        if std::env::var_os("REPRO_QUICK").is_some() {
+        if RunCfg::quick_from_env() {
             RunCfg::quick()
         } else {
             RunCfg::paper()
@@ -94,18 +105,33 @@ impl RunCfg {
     }
 }
 
-/// Run one replication closure per seed, each on its own OS thread (a
+/// Measure one testbed point over `cfg.replications` seeds (`cfg.seed + i`):
+/// each seed runs `body` on a fresh [`Simulation`] on its own OS thread (a
 /// `Simulation` is single-threaded internally — `Rc` handles and all — but
-/// independent replications parallelize perfectly). Each worker's
-/// `netsim::profile` tally is added to the caller's after the join, so a
-/// [`report::RunReport`] opened on the caller counts every replication.
-pub fn replicate<T: Send>(cfg: &RunCfg, run: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    std::thread::scope(|scope| {
+/// independent replications parallelize perfectly), and each metric key the
+/// body returns gets one [`Summary`] over the seeds in order.
+///
+/// `key` names the point, in [`jobs::point_key`] form; with `MPTCP_TRACE`
+/// set, each replication traces to a file named after its
+/// [`jobs::file_stem`] and seed. Each worker's `netsim::profile` tally is
+/// added to the caller's after the join, so a [`report::RunReport`] opened
+/// on the caller counts every replication.
+pub fn measure<P: Sync>(
+    key: &str,
+    body: fn(&mut Simulation, &P, &RunCfg, u64) -> BTreeMap<String, f64>,
+    params: &P,
+    cfg: &RunCfg,
+) -> BTreeMap<String, Summary> {
+    let label = jobs::file_stem(key);
+    let reps: Vec<BTreeMap<String, f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.replications)
             .map(|i| {
-                let run = &run;
-                let seed = cfg.seed + i as u64;
-                scope.spawn(move || (run(seed), netsim::profile::totals()))
+                let (seed, label) = (cfg.seed + i as u64, &label);
+                scope.spawn(move || {
+                    let mut sim = Simulation::new(seed);
+                    let _trace = tracing::attach_from_env(&mut sim, label, seed);
+                    (body(&mut sim, params, cfg, seed), netsim::profile::totals())
+                })
             })
             .collect();
         handles
@@ -116,7 +142,153 @@ pub fn replicate<T: Send>(cfg: &RunCfg, run: impl Fn(u64) -> T + Sync) -> Vec<T>
                 out
             })
             .collect()
-    })
+    });
+    let first = reps.first().expect("cfg.replications must be at least 1");
+    first
+        .keys()
+        .map(|k| {
+            let samples: Vec<f64> = reps.iter().map(|r| r[k]).collect();
+            (k.clone(), Summary::of(&samples))
+        })
+        .collect()
+}
+
+/// Replicated measurements at the points of registry grids (see
+/// [`measure`]), which the testbed binaries' tables read by axis values.
+#[derive(Debug)]
+pub struct Sweep {
+    cfg: RunCfg,
+    runs: Vec<(BTreeMap<String, Json>, BTreeMap<String, Summary>)>,
+}
+
+impl Sweep {
+    /// An empty sweep measuring with `cfg`'s windows and replications.
+    pub fn new(cfg: RunCfg) -> Sweep {
+        Sweep {
+            cfg,
+            runs: Vec::new(),
+        }
+    }
+
+    /// Measure `body` at every point of registry scenario `name`'s grid (at
+    /// the scale `REPRO_QUICK` selects) that no earlier point covers, and
+    /// return the grid. A point is covered when an earlier one has all of
+    /// its axis values — the ε-family grid, say, omits `scenario_c`'s
+    /// one-valued `backend` axis — so each point is simulated once.
+    pub fn add<P: Sync>(
+        &mut self,
+        name: &str,
+        params: fn(&JobCtx) -> P,
+        body: fn(&mut Simulation, &P, &RunCfg, u64) -> BTreeMap<String, f64>,
+    ) -> Vec<(String, Vec<Json>)> {
+        let quick = RunCfg::quick_from_env();
+        let grid = (jobs::find(name).expect("registered scenario").grid)(quick);
+        for point in jobs::points(&grid) {
+            if self.get(&point).is_none() {
+                let ctx = JobCtx {
+                    params: point,
+                    ..JobCtx::new(self.cfg.seed, quick)
+                };
+                let key = jobs::point_key(name, &ctx.params);
+                let m = measure(&key, body, &params(&ctx), &self.cfg);
+                self.runs.push((ctx.params, m));
+            }
+        }
+        grid
+    }
+
+    /// The measurement at the first point with all of `axes`' values.
+    fn get(&self, axes: &BTreeMap<String, Json>) -> Option<&BTreeMap<String, Summary>> {
+        self.runs
+            .iter()
+            .find(|(point, _)| axes.iter().all(|(k, v)| point.get(k) == Some(v)))
+            .map(|(_, m)| m)
+    }
+
+    /// The measurement at the point with these axis values. Panics when no
+    /// measured point has them.
+    pub fn at(&self, axes: &[(&str, Json)]) -> BTreeMap<String, Summary> {
+        let axes: BTreeMap<String, Json> = axes
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
+        self.get(&axes)
+            .unwrap_or_else(|| panic!("no measured point at {axes:?}"))
+            .clone()
+    }
+
+    /// Each point of `grid` with its measurement, in grid order.
+    pub fn measured(
+        &self,
+        grid: &[(String, Vec<Json>)],
+    ) -> Vec<(BTreeMap<String, Json>, BTreeMap<String, Summary>)> {
+        jobs::points(grid)
+            .into_iter()
+            .map(|point| {
+                let m = self.get(&point).expect("a measured grid").clone();
+                (point, m)
+            })
+            .collect()
+    }
+
+    /// One [`Point`] per (`ratio`, `c1_over_c2`) of `grid`, `ratio` varying
+    /// slowest, with `predict`'s LIA fixed point and optimum at each.
+    pub fn points<P>(
+        &self,
+        grid: &[(String, Vec<Json>)],
+        predict: fn(f64, f64) -> (P, P),
+    ) -> Vec<Point<P>> {
+        let values = |axis: &str| {
+            grid.iter()
+                .find(|(name, _)| name == axis)
+                .map_or(Vec::new(), |(_, values)| values.clone())
+        };
+        let mut points = Vec::new();
+        for ratio in values("ratio") {
+            for c in values("c1_over_c2") {
+                let at = |alg: &str| {
+                    self.at(&[
+                        ("algorithm", alg.into()),
+                        ("ratio", ratio.clone()),
+                        ("c1_over_c2", c.clone()),
+                    ])
+                };
+                let (lia, olia) = (at("lia"), at("olia"));
+                let (ratio, c) = (
+                    ratio.as_f64().expect("numeric"),
+                    c.as_f64().expect("numeric"),
+                );
+                let (theory, optimum) = predict(ratio, c);
+                points.push(Point {
+                    ratio,
+                    c,
+                    lia,
+                    olia,
+                    theory,
+                    optimum,
+                });
+            }
+        }
+        points
+    }
+}
+
+/// One (N1/N2, C1/C2) point of Scenario A's or C's figures: LIA's and
+/// OLIA's measurements and two predictions of the analysis.
+#[derive(Debug)]
+pub struct Point<P> {
+    /// N1/N2.
+    pub ratio: f64,
+    /// C1/C2.
+    pub c: f64,
+    /// LIA's measurement.
+    pub lia: BTreeMap<String, Summary>,
+    /// OLIA's measurement.
+    pub olia: BTreeMap<String, Summary>,
+    /// The LIA fixed point.
+    pub theory: P,
+    /// The optimum with probing cost.
+    pub optimum: P,
 }
 
 /// Start `conns` with random jitter, run warmup, reset all statistics, then
@@ -157,23 +329,51 @@ mod tests {
     use netsim::{FaultPlan, QueueConfig};
 
     #[test]
-    fn replicate_adds_worker_tallies_to_the_caller() {
+    fn measure_summarizes_each_metric_over_the_seeds_in_order() {
+        let cfg = RunCfg {
+            replications: 3,
+            seed: 40,
+            ..RunCfg::quick()
+        };
+        let m = measure(
+            "unit?step=2",
+            |_, step: &f64, _, seed| {
+                BTreeMap::from([
+                    ("seed".to_string(), seed as f64),
+                    ("scaled".to_string(), step * (seed - 40) as f64),
+                ])
+            },
+            &2.0,
+            &cfg,
+        );
+        assert_eq!(m.keys().collect::<Vec<_>>(), vec!["scaled", "seed"]);
+        assert_eq!(m["seed"], Summary::of(&[40.0, 41.0, 42.0]));
+        assert_eq!(m["scaled"], Summary::of(&[0.0, 2.0, 4.0]));
+    }
+
+    #[test]
+    fn measure_adds_worker_tallies_to_the_caller() {
         let cfg = RunCfg {
             replications: 3,
             ..RunCfg::quick()
         };
         let window = RunProfile::start();
-        let events = replicate(&cfg, |seed| {
-            let mut sim = Simulation::new(seed);
-            let ms = SimDuration::from_millis(seed);
-            let q = sim.add_queue(QueueConfig::drop_tail(10e6, ms, 100));
-            sim.install_fault_plan(FaultPlan::new().flap(q, SimTime::ZERO, ms, ms, 3));
-            sim.run_until(SimTime::from_secs_f64(0.5));
-            sim.events_processed()
-        });
+        let m = measure(
+            "unit",
+            |sim, _: &(), _, seed| {
+                let ms = SimDuration::from_millis(seed);
+                let q = sim.add_queue(QueueConfig::drop_tail(10e6, ms, 100));
+                sim.install_fault_plan(FaultPlan::new().flap(q, SimTime::ZERO, ms, ms, 3));
+                sim.run_until(SimTime::from_secs_f64(0.5));
+                BTreeMap::from([("events".to_string(), sim.events_processed() as f64)])
+            },
+            &(),
+            &cfg,
+        );
         let p = window.finish();
-        assert!(events.iter().all(|&e| e > 0));
-        assert_eq!(p.events, events.iter().sum::<u64>());
+        let events = m["events"];
+        assert!(events.min > 0.0);
+        assert_eq!(p.events, (events.mean * events.n as f64).round() as u64);
         assert_eq!(p.sim_ns, 3 * 500_000_000);
     }
 

@@ -13,7 +13,7 @@
 //! ```json
 //! {
 //!   "schema": "mptcp-run-report/v2",
-//!   "name": "fig1_scenario_a",
+//!   "name": "scenario_a",
 //!   "params": { "replications": 5, "seed": 1 },
 //!   "metrics": { "flow.0.goodput.mbps": 3.2 },
 //!   "tables": { "flow groups": [ { "group": "mptcp", "mean Mb/s": 4.1 } ] },

@@ -1,10 +1,55 @@
 //! Aligned-table printing and CSV output for the experiment binaries.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
+use metrics::Summary;
+
 use crate::json::Json;
+use crate::report::RunReport;
+
+/// One column of a [`TableSpec`]: its header and its cell for a row.
+pub type Column<R> = (&'static str, fn(&R) -> String);
+
+/// A table over rows of type `R`: its title, the CSV name it is written
+/// under in `results/`, and its columns.
+#[derive(Debug)]
+pub struct TableSpec<R: 'static> {
+    /// Title (also the key the table is embedded under in run reports).
+    pub title: &'static str,
+    /// CSV file stem under `results/`.
+    pub csv: &'static str,
+    /// Columns, in order.
+    pub columns: &'static [Column<R>],
+}
+
+impl<R> TableSpec<R> {
+    /// The table with one row per element of `rows`.
+    pub fn table(&self, rows: &[R]) -> Table {
+        let header: Vec<&str> = self.columns.iter().map(|(h, _)| *h).collect();
+        let mut t = Table::new(self.title, &header);
+        for r in rows {
+            t.row(
+                &self
+                    .columns
+                    .iter()
+                    .map(|(_, cell)| cell(r))
+                    .collect::<Vec<_>>(),
+            );
+        }
+        t
+    }
+
+    /// Print the table over `rows`, write its CSV, and embed it in `report`.
+    pub fn emit(&self, rows: &[R], report: &mut RunReport) {
+        let t = self.table(rows);
+        t.print();
+        t.write_csv(self.csv);
+        report.table(&t);
+    }
+}
 
 /// A simple column-aligned table with a title, for terminal output in the
 /// style of the paper's tables.
@@ -139,6 +184,11 @@ pub fn pm(mean: f64, ci: f64) -> String {
     format!("{mean:.3} ± {ci:.3}")
 }
 
+/// [`pm`] of one metric's mean and 95% CI.
+pub fn pm_of(m: &BTreeMap<String, Summary>, metric: &str) -> String {
+    pm(m[metric].mean, m[metric].ci95)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,6 +203,19 @@ mod tests {
         assert!(s.contains("long-header"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn spec_pairs_headers_with_cells() {
+        let spec: TableSpec<(u32, &str)> = TableSpec {
+            title: "t",
+            csv: "t",
+            columns: &[("n", |r| r.0.to_string()), ("name", |r| r.1.to_string())],
+        };
+        let mut by_hand = Table::new("t", &["n", "name"]);
+        by_hand.row(&["1".into(), "a".into()]);
+        by_hand.row(&["2".into(), "b".into()]);
+        assert_eq!(spec.table(&[(1, "a"), (2, "b")]).render(), by_hand.render());
     }
 
     #[test]

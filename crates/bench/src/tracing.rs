@@ -1,20 +1,25 @@
 //! Environment-driven trace capture for experiment binaries.
 //!
-//! Every place the harness builds a [`Simulation`] calls
-//! [`attach_from_env`] right after construction. With no environment
-//! configuration this is a no-op and the simulation keeps its zero-overhead
-//! disabled tracer; setting `MPTCP_TRACE` attaches a buffered JSONL sink so
-//! *any* figure binary can dump a structured trace without code changes:
+//! The binaries' simulations — [`crate::measure`]'s replications,
+//! `repro_run`'s custom scenarios, the Fig. 7/8 traces and the FatTree
+//! experiments — call [`attach_from_env`] right after construction.
+//! Registry jobs (which trace into their own digest sink) and `perf` do
+//! not. With no environment configuration this is a no-op and the
+//! simulation keeps its zero-overhead disabled tracer; setting
+//! `MPTCP_TRACE` attaches a buffered JSONL sink so those binaries dump a
+//! structured trace without code changes:
 //!
 //! ```text
-//! MPTCP_TRACE=1 cargo run --release -p bench --bin fig1_scenario_a
+//! MPTCP_TRACE=1 cargo run --release -p bench --bin scenario_a
 //! MPTCP_TRACE=results/mytrace ./target/release/repro_run scenarios/two_ap.json
 //! ```
 //!
 //! * `MPTCP_TRACE` — `1`/`true` for the default `results/trace` prefix, or
 //!   an explicit path prefix. Each simulation writes
 //!   `<prefix>.<label>.seed<seed>.jsonl` (replications run in parallel and
-//!   must not share a file).
+//!   must not share a file). [`crate::measure`]'s label is the
+//!   [`crate::jobs::file_stem`] of its point's key, so every grid point of
+//!   a sweep keeps its own files.
 //! * `MPTCP_TRACE_CONNS` — comma-separated connection tags to keep
 //!   (default: all).
 //! * `MPTCP_TRACE_QUEUES` — comma-separated queue indices to keep
@@ -78,6 +83,11 @@ pub fn filter_from_env() -> TraceFilter {
     f
 }
 
+/// The trace file of one simulation: `<prefix>.<label>.seed<seed>.jsonl`.
+fn trace_path(prefix: &str, label: &str, seed: u64) -> PathBuf {
+    PathBuf::from(format!("{prefix}.{label}.seed{seed}.jsonl"))
+}
+
 /// If `MPTCP_TRACE` is set, attach a filtered JSONL sink to `sim` writing
 /// `<prefix>.<label>.seed<seed>.jsonl` and return the guard that flushes
 /// it; otherwise leave the simulation's tracer disabled and return `None`.
@@ -94,7 +104,7 @@ pub fn attach_from_env(sim: &mut Simulation, label: &str, seed: u64) -> Option<T
     } else {
         raw
     };
-    let path = PathBuf::from(format!("{prefix}.{label}.seed{seed}.jsonl"));
+    let path = trace_path(&prefix, label, seed);
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(dir);
@@ -136,6 +146,26 @@ mod tests {
         if std::env::var_os("MPTCP_TRACE_QUEUES").is_none() {
             assert!(f.admits(&ev));
         }
+    }
+
+    #[test]
+    fn two_grid_points_at_one_seed_trace_to_two_files() {
+        use crate::jobs::{file_stem, find, point_key, points};
+        let grid = (find("scenario_a").expect("registered").grid)(true);
+        let paths: Vec<PathBuf> = points(&grid)
+            .iter()
+            .map(|p| trace_path("t", &file_stem(&point_key("scenario_a", p)), 1))
+            .collect();
+        assert_eq!(paths.len(), 18);
+        for (i, path) in paths.iter().enumerate() {
+            assert!(!paths[..i].contains(path), "{} repeats", path.display());
+        }
+        let first = paths[0].to_str().unwrap();
+        assert!(
+            first.starts_with("t.scenario_a-algorithm-lia-backend-packet-c1_over_c2-0.75-ratio-1-"),
+            "{first}"
+        );
+        assert!(first.ends_with(".seed1.jsonl"), "{first}");
     }
 
     #[test]

@@ -206,7 +206,7 @@ pub fn run_with(dir: &RunDir, opts: &RunOpts, runner: &Runner) -> Result<RunSumm
                 job,
                 result.attempts,
                 out,
-                format!("jobs/{}.json", manifest::file_stem(&job.key)),
+                format!("jobs/{}.json", bench::jobs::file_stem(&job.key)),
             ),
             Outcome::Failed { error } => JournalEntry::failed(job, result.attempts, error.clone()),
         };

@@ -33,6 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use bench::jobs::point_key;
 use bench::json::Json;
 use trace::Digest64;
 
@@ -319,19 +320,7 @@ impl Manifest {
                     ));
                 }
             }
-            let mut points: Vec<BTreeMap<String, Json>> = vec![BTreeMap::new()];
-            for (axis, values) in &axes {
-                let mut next = Vec::with_capacity(points.len() * values.len());
-                for point in &points {
-                    for v in values {
-                        let mut p = point.clone();
-                        p.insert(axis.clone(), v.clone());
-                        next.push(p);
-                    }
-                }
-                points = next;
-            }
-            for params in points {
+            for params in bench::jobs::points(&axes) {
                 let point_key = point_key(&entry.name, &params);
                 for &manifest_seed in &self.seeds {
                     let key = format!("{point_key}#seed={manifest_seed}");
@@ -358,40 +347,6 @@ impl Manifest {
         }
         Ok(jobs)
     }
-}
-
-/// `scenario?axis=value&...` with axes in sorted order; string values are
-/// embedded raw (no quotes), everything else in JSON spelling.
-fn point_key(scenario: &str, params: &BTreeMap<String, Json>) -> String {
-    if params.is_empty() {
-        return scenario.to_string();
-    }
-    let parts: Vec<String> = params
-        .iter()
-        .map(|(k, v)| match v {
-            Json::String(s) => format!("{k}={s}"),
-            other => format!("{k}={}", other.render()),
-        })
-        .collect();
-    format!("{scenario}?{}", parts.join("&"))
-}
-
-/// A filesystem-safe stem for a job's report file: the key with
-/// non-`[A-Za-z0-9._-]` bytes folded to `-`, truncated, plus a short hash
-/// of the full key so distinct jobs never collide.
-pub fn file_stem(key: &str) -> String {
-    let mut s: String = key
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-' {
-                c
-            } else {
-                '-'
-            }
-        })
-        .collect();
-    s.truncate(80);
-    format!("{s}-{:08x}", Digest64::of(key.as_bytes()) as u32)
 }
 
 #[cfg(test)]
@@ -505,20 +460,5 @@ mod tests {
             let err = Manifest::parse(&parse(text).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{needle:?} not in {err:?}");
         }
-    }
-
-    #[test]
-    fn file_stems_are_safe_and_distinct() {
-        let a = file_stem("smoke?algorithm=lia&c1_over_c2=0.8#seed=1");
-        let b = file_stem("smoke?algorithm=lia&c1_over_c2=0.8#seed=2");
-        assert_ne!(a, b);
-        assert!(a
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_' || c == '-'));
-        // Long keys truncate but stay distinct via the hash suffix.
-        let long1 = file_stem(&format!("x?p={}#seed=1", "y".repeat(200)));
-        let long2 = file_stem(&format!("x?p={}#seed=2", "y".repeat(200)));
-        assert_ne!(long1, long2);
-        assert!(long1.len() < 100);
     }
 }

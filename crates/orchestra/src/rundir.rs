@@ -24,10 +24,10 @@ use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bench::jobs::JobOutput;
+use bench::jobs::{file_stem, JobOutput};
 use bench::json::Json;
 
-use crate::manifest::{file_stem, Job, Manifest};
+use crate::manifest::{Job, Manifest};
 
 /// One journal line: everything the sweep needs to know about a finished
 /// job, so resume never has to re-parse per-job reports.

@@ -8,7 +8,7 @@
 //! cargo run --release --example scenario_c_fairness
 //! ```
 
-use bench::{scenario_c, RunCfg};
+use bench::{jobs, measure, RunCfg};
 use mpsim_core::Algorithm;
 use topo::ScenarioCParams;
 
@@ -26,13 +26,15 @@ fn main() {
         "algorithm", "TCP users (y/C2)", "multipath norm", "p2"
     );
     for alg in [Algorithm::Lia, Algorithm::Olia] {
-        let m = scenario_c::measure(&ScenarioCParams::paper(20, 2.0, alg), &cfg);
+        let key = format!("scenario_c?algorithm={}&c1_over_c2=2&ratio=2", alg.name());
+        let params = ScenarioCParams::paper(20, 2.0, alg);
+        let m = measure(&key, jobs::scenario_c, &params, &cfg);
         println!(
             "{:<10} {:>18.3} {:>18.3} {:>10.4}",
             alg.name(),
-            m.single_norm.mean,
-            m.multipath_norm.mean,
-            m.p2.mean
+            m["single_norm"].mean,
+            m["multipath_norm"].mean,
+            m["p2"].mean
         );
     }
     let th = fluid::scenario_c::optimal_with_probing(&fluid::scenario_c::ScenarioCInputs::paper(

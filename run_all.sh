@@ -10,8 +10,9 @@
 # job under jobs/, the append-only journal, and the cross-seed sweep.json
 # (mptcp-sweep-report/v1). Re-running resumes the existing run directory,
 # skipping journaled-done jobs. See EXPERIMENTS.md for the runbook; the
-# figure-specific binaries (fig*/table*/ablation_*) remain available via
-# `cargo run --release -p bench --bin <name>` for plot-ready artifacts.
+# per-scenario and figure binaries (scenario_a/b/c, fig*, ablation_*, ...)
+# remain available via `cargo run --release -p bench --bin <name>` for the
+# tracked plot-ready tables under results/.
 set -euo pipefail
 cd "$(dirname "$0")"
 
