@@ -633,8 +633,18 @@ impl TcpSource {
             if self.subflows[idx].health == PathHealth::Failed {
                 return;
             }
+            // The sink echoes the arriving segment's `seq`, so `seq < ack`
+            // reports a duplicate of data it already holds (RFC 2883's
+            // D-SACK), not a hole. Outside recovery such an ACK must not
+            // count toward fast retransmit: go-back-N's resends would
+            // otherwise start recoveries for losses that never happened.
+            // Inside recovery it still inflates the window, since a segment
+            // did leave the network (RFC 5681 §3.2).
+            let duplicate_arrival = pkt.seq < ack;
             let sf = &mut self.subflows[idx];
-            sf.dup_acks += 1;
+            if !duplicate_arrival || sf.recovery().is_some() {
+                sf.dup_acks += 1;
+            }
             let dup = sf.dup_acks;
             match sf.recovery() {
                 None if dup == self.cfg.dupack_threshold => {
@@ -677,7 +687,13 @@ impl TcpSource {
         {
             let pin = self.cfg.pin_ssthresh;
             let sf = &mut self.subflows[idx];
-            sf.ssthresh = pin.unwrap_or(new_cwnd);
+            // A repeated expiry (backoff > 0) times out a segment the timer
+            // already resent; ssthresh then holds (RFC 5681 §3.1) rather
+            // than falling with the 1-MSS window to the floor. A pinned
+            // ssthresh never moves, so it needs no case of its own.
+            if sf.backoff == 0 {
+                sf.ssthresh = pin.unwrap_or(new_cwnd);
+            }
             sf.cwnd = 1.0;
             sf.recover = NO_RECOVERY;
             sf.dup_acks = 0;
@@ -985,6 +1001,144 @@ mod tests {
             conn.handle.read(|s| s.subflows[0].backoff),
             0,
             "an advancing ACK must reset the RTO backoff"
+        );
+    }
+
+    /// Answers the source's first data packet with a scripted run of
+    /// `(seq, ack)` ACKs, and ignores the rest of its data.
+    struct ScriptedReceiver {
+        src: EndpointId,
+        rev: Route,
+        script: Vec<(u64, u64)>,
+    }
+
+    impl Endpoint for ScriptedReceiver {
+        fn start(&mut self, _: &mut NetCtx<'_>) {}
+        fn on_packet(&mut self, ctx: &mut NetCtx<'_>, pkt: Packet) {
+            for (seq, ack) in std::mem::take(&mut self.script) {
+                let mut a = Packet::ack(ctx.me(), self.src, 7, 0, seq, ack, 40, self.rev);
+                a.ts_echo = pkt.ts_echo;
+                ctx.send(a);
+            }
+        }
+        fn on_timer(&mut self, _: &mut NetCtx<'_>, _: u64) {}
+    }
+
+    /// Run a Reno source against a [`ScriptedReceiver`] for 100 ms, well
+    /// inside the first RTO; return its loss events and the sequence
+    /// numbers of its fast retransmits.
+    fn run_against_script(script: Vec<(u64, u64)>) -> (u32, Vec<u64>) {
+        let mut sim = Simulation::new(0);
+        let (tracer, ring) = trace::Tracer::to_sink(trace::RingSink::new(1 << 12));
+        sim.set_tracer(tracer);
+        let link = |sim: &mut Simulation| {
+            sim.add_queue(QueueConfig::drop_tail(
+                1e9,
+                SimDuration::from_millis(1),
+                1000,
+            ))
+        };
+        let (fwd, rev) = (link(&mut sim), link(&mut sim));
+        let src = sim.reserve_endpoint();
+        let dst = sim.reserve_endpoint();
+        let handle = FlowHandle::new(1500, 1);
+        sim.install_endpoint(
+            src,
+            Box::new(TcpSource::new(
+                dst,
+                7,
+                TcpConfig::default(),
+                Algorithm::Reno.build(),
+                vec![route(&[fwd])],
+                None,
+                handle.clone(),
+            )),
+        );
+        sim.install_endpoint(
+            dst,
+            Box::new(ScriptedReceiver {
+                src,
+                rev: route(&[rev]),
+                script,
+            }),
+        );
+        sim.start_endpoint(src);
+        sim.run_until(SimTime::from_secs_f64(0.1));
+        let fast_retransmits = ring
+            .borrow()
+            .events()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::FastRetransmit { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        (handle.read(|s| s.subflows[0].loss_events), fast_retransmits)
+    }
+
+    #[test]
+    fn duplicate_arrivals_do_not_start_fast_retransmit() {
+        // ACK 1 for segment 0, then three D-SACKs: segment 0 arrived three
+        // more times. The sink holds it already, so nothing was lost.
+        let (losses, frs) = run_against_script(vec![(0, 1), (0, 1), (0, 1), (0, 1)]);
+        assert_eq!(losses, 0, "duplicate arrivals counted as a loss");
+        assert!(frs.is_empty(), "fast retransmit on duplicates: {frs:?}");
+
+        // The same ACK numbers echoing arrivals above a hole at 1 do report
+        // a loss: exactly one fast retransmit, of the hole.
+        let (losses, frs) = run_against_script(vec![(0, 1), (2, 1), (3, 1), (4, 1)]);
+        assert_eq!(losses, 1);
+        assert_eq!(frs, vec![1]);
+    }
+
+    #[test]
+    fn ssthresh_holds_across_repeated_timeouts_of_one_segment() {
+        let mut sim = Simulation::new(7);
+        let (tracer, ring) = trace::Tracer::to_sink(trace::RingSink::new(usize::MAX >> 1));
+        sim.set_tracer(tracer);
+        let fwd = sim.add_queue(QueueConfig::drop_tail(
+            10e6,
+            SimDuration::from_millis(10),
+            100,
+        ));
+        let rev = sim.add_queue(QueueConfig::drop_tail(
+            10e6,
+            SimDuration::from_millis(10),
+            100,
+        ));
+        let conn = ConnectionSpec::new(Algorithm::Reno)
+            .with_path(PathSpec::new(route(&[fwd]), route(&[rev])))
+            .install(&mut sim, 0);
+        sim.start_endpoint_at(conn.source, SimTime::ZERO);
+        let outage = SimTime::from_secs_f64(1.0);
+        sim.run_until(outage);
+        sim.set_queue_down(fwd, true);
+        sim.run_until(SimTime::from_secs_f64(6.0));
+
+        // RFC 5681 §3.1: only the outage's first expiry sets ssthresh from
+        // the window; later expiries of the resent segment keep it.
+        let ring = ring.borrow();
+        let rto_ssthresh: Vec<f64> = ring
+            .events()
+            .filter(|(t, _)| *t >= outage)
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::Cwnd {
+                    ssthresh,
+                    reason: CwndReason::Rto,
+                    ..
+                } => Some(*ssthresh),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            rto_ssthresh.len() >= 2,
+            "outage must trigger repeated RTOs, got {}",
+            rto_ssthresh.len()
+        );
+        let first = rto_ssthresh[0];
+        assert!(first > 2.0, "first RTO set ssthresh at the floor: {first}");
+        assert!(
+            rto_ssthresh.iter().all(|&s| s == first),
+            "ssthresh fell across repeated timeouts: {rto_ssthresh:?}"
         );
     }
 }

@@ -78,7 +78,13 @@ fn dsn_map_migration_preserves_trace_digest() {
 /// Captured from the seed tree before the R2 migrations; recaptured when
 /// the trace vocabulary grew (rtt_sample events, qlen on dequeue) — the
 /// stream's byte content changed deliberately, its ordering did not.
-const GOLDEN_DIGEST: u64 = 0x7187_b539_9b5e_f26a;
+/// Recaptured again (0x7187_b539_9b5e_f26a, 11,931 lines → 12,818 lines)
+/// when `tcpsim` stopped treating duplicate arrivals as losses and began
+/// holding ssthresh across repeated timeouts of one segment (RFC 5681
+/// §3.1). The old trace was wrong, not just different: it first diverges
+/// at t = 3.6176 s, subflow 0's second consecutive timeout in the 3–5 s
+/// outage, where it set ssthresh to 1 instead of keeping 6.29.
+const GOLDEN_DIGEST: u64 = 0x9f7d_3372_1e85_31ec;
 
 // ---------------------------------------------------------------------------
 // Scale-architecture differentials: the route interner, the connection-state

@@ -175,3 +175,35 @@ fn goal3_balance_congestion() {
          ({p_olia} vs {p_lia})"
     );
 }
+
+/// Regression for the duplicate-retransmission trap (ROADMAP item 1): on the
+/// goal-3 topology, LIA at seed 9 once locked its cool subflow into fast
+/// retransmits of segments the sink already held, logging 838 loss
+/// responses against 333 drops on its link. The cool link carries only that
+/// subflow, so each loss response must answer a drop there.
+#[test]
+fn cool_subflow_responds_only_to_its_drops() {
+    let mut sim = Simulation::new(9);
+    let cool = red(&mut sim, 8.0);
+    let hot = red(&mut sim, 8.0);
+    let rv = rev(&mut sim);
+    let mptcp = ConnectionSpec::new(Algorithm::Lia)
+        .with_path(PathSpec::new(route(&[cool]), route(&[rv])))
+        .with_path(PathSpec::new(route(&[hot]), route(&[rv])))
+        .install(&mut sim, 0);
+    let mut conns = vec![mptcp.clone()];
+    for i in 0..6 {
+        conns.push(
+            ConnectionSpec::new(Algorithm::Reno)
+                .with_path(PathSpec::new(route(&[hot]), route(&[rv])))
+                .install(&mut sim, 1 + i),
+        );
+    }
+    measure(&mut sim, &conns, 25.0, 75.0);
+    let responses = u64::from(mptcp.handle.read(|s| s.subflows[0].loss_events));
+    let drops = sim.queue_stats(cool).dropped;
+    assert!(
+        responses <= drops,
+        "cool subflow logged {responses} loss responses against {drops} drops on its link"
+    );
+}
