@@ -43,10 +43,11 @@ cargo build --release --offline -p bench
 
 # Table gate: the testbed binaries rewrite the 16 tracked Scenario A-C
 # tables (Figs. 1, 4, 5, 9-12, 17, Tables I-II, the epsilon family) at quick
-# scale, ~8 s on a 2-vCPU host, and any byte of difference from the
-# committed results/ fails here, so the tracked tables cannot drift from
-# the code that writes them.
-testbed_tables=()
+# scale, ~8 s on a 2-vCPU host, and the Fig. 7/8 and packet-level ablation
+# binaries rewrite their 10 tables at paper scale, ~3 s. Any byte of
+# difference from the committed results/ fails here, so the tracked tables
+# cannot drift from the code that writes them.
+tracked_tables=()
 for t in fig1b_scenario_a_throughput fig1c_scenario_a_loss \
     fig9_scenario_a_olia_throughput fig10_scenario_a_olia_loss \
     fig4a_scenario_b_lia fig4b_scenario_b_optimal \
@@ -54,16 +55,23 @@ for t in fig1b_scenario_a_throughput fig1c_scenario_a_loss \
     table1_scenario_b_lia table2_scenario_b_olia \
     fig5b_scenario_c_analytic fig5c_scenario_c_measured fig5d_scenario_c_loss \
     fig11_scenario_c_olia_throughput fig12_scenario_c_olia_loss \
-    ablation_epsilon_family; do
-    testbed_tables+=("results/$t.csv")
+    ablation_epsilon_family \
+    fig7_8_summary fig7_trace_lia fig7_trace_olia fig8_trace_lia fig8_trace_olia \
+    ablation_alpha_responsiveness ablation_path_pruning ablation_rcv_window \
+    ablation_red_variants ablation_rtt_compensation; do
+    tracked_tables+=("results/$t.csv")
 done
-rm -f "${testbed_tables[@]}" # a table no binary writes shows as deleted
+rm -f "${tracked_tables[@]}" # a table no binary writes shows as deleted
 for bin in scenario_a scenario_b scenario_c; do
     REPRO_QUICK=1 "./target/release/$bin" >/dev/null
 done
-if ! git diff --exit-code --quiet -- "${testbed_tables[@]}"; then
-    echo "ci: the testbed binaries no longer write the tracked tables:"
-    git diff --stat -- "${testbed_tables[@]}"
+for bin in fig7_8_traces ablation_alpha_responsiveness ablation_path_pruning \
+    ablation_rcv_window ablation_red_variants ablation_rtt_compensation; do
+    "./target/release/$bin" >/dev/null
+done
+if ! git diff --exit-code --quiet -- "${tracked_tables[@]}"; then
+    echo "ci: the table binaries no longer write the tracked tables:"
+    git diff --stat -- "${tracked_tables[@]}"
     exit 1
 fi
 

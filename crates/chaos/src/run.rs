@@ -36,7 +36,8 @@ const SLICE_EVENT_BUDGET: u64 = 20_000_000;
 /// Flight-recorder ring length. A typical case traces well under 10^4
 /// events per simulated second, so this retains a whole default-horizon
 /// run — repro timelines show every fault window and state band, not just
-/// a tail. The ring allocates lazily, so clean short runs stay cheap.
+/// a tail. The ring allocates 64 KiB chunks as it fills (~11.5 B per
+/// event), so clean short runs stay cheap.
 const RECORDER_CAPACITY: usize = 1 << 20;
 
 /// Everything one case execution is judged on.

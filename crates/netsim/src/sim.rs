@@ -1385,8 +1385,8 @@ mod tests {
                 trace::TraceEvent::Enqueue { .. } => enq += 1,
                 trace::TraceEvent::Dequeue { .. } => deq += 1,
                 trace::TraceEvent::Fault { queue, action } => {
-                    assert_eq!(*queue, fwd.index() as u32);
-                    assert_eq!(*action, "set_duplication");
+                    assert_eq!(queue, fwd.index() as u32);
+                    assert_eq!(action, "set_duplication");
                     fault += 1;
                 }
                 _ => {}
@@ -1411,7 +1411,7 @@ mod tests {
         let drops: Vec<_> = ring
             .events()
             .filter_map(|(_, ev)| match ev {
-                trace::TraceEvent::Drop { reason, .. } => Some(*reason),
+                trace::TraceEvent::Drop { reason, .. } => Some(reason),
                 _ => None,
             })
             .collect();

@@ -1068,7 +1068,7 @@ mod tests {
             .borrow()
             .events()
             .filter_map(|(_, ev)| match ev {
-                TraceEvent::FastRetransmit { seq, .. } => Some(*seq),
+                TraceEvent::FastRetransmit { seq, .. } => Some(seq),
                 _ => None,
             })
             .collect();
@@ -1125,7 +1125,7 @@ mod tests {
                     ssthresh,
                     reason: CwndReason::Rto,
                     ..
-                } => Some(*ssthresh),
+                } => Some(ssthresh),
                 _ => None,
             })
             .collect();

@@ -101,12 +101,9 @@ impl FaultOracle {
     }
 
     /// Convenience: replay a recorded event stream through the oracle.
-    pub fn check_all<'a>(
-        mut self,
-        events: impl IntoIterator<Item = &'a (SimTime, TraceEvent)>,
-    ) -> Self {
+    pub fn check_all(mut self, events: impl IntoIterator<Item = (SimTime, TraceEvent)>) -> Self {
         for (t, ev) in events {
-            self.record(*t, ev);
+            self.record(t, &ev);
         }
         self
     }
@@ -299,7 +296,7 @@ mod tests {
                 },
             ),
         ];
-        let mut chk = oracle().check_all(&stream);
+        let mut chk = oracle().check_all(stream);
         chk.finish(SimTime::from_secs_f64(5.0));
         assert!(chk.ok(), "{:?}", chk.violations());
     }
@@ -314,7 +311,7 @@ mod tests {
             (t, trans(Active, PotentiallyFailed)),
             (t, trans(Active, PotentiallyFailed)),
         ];
-        let chk = oracle().check_all(&stream);
+        let chk = oracle().check_all(stream);
         assert!(chk.ok(), "{:?}", chk.violations());
     }
 
@@ -326,7 +323,7 @@ mod tests {
             (t, trans(Active, Failed)),
             (t, trans(Failed, PotentiallyFailed)),
         ];
-        let chk = oracle().check_all(&stream);
+        let chk = oracle().check_all(stream);
         assert_eq!(chk.violations().len(), 1);
         assert!(chk.violations()[0]
             .what
@@ -338,7 +335,7 @@ mod tests {
         use SubflowState::{Active, Failed};
         // from=failed without any traced transition into failed.
         let stream = vec![(SimTime::ZERO, trans(Failed, Active))];
-        let chk = oracle().check_all(&stream);
+        let chk = oracle().check_all(stream);
         assert!(!chk.ok());
         assert!(chk.violations()[0].what.contains("discontinuity"));
     }
@@ -348,7 +345,7 @@ mod tests {
         use SubflowState::{Active, Failed};
         let t = SimTime::ZERO;
         let stream = vec![(t, trans(Active, Failed)), (t, probe(16_000_000_000))];
-        let chk = oracle().check_all(&stream);
+        let chk = oracle().check_all(stream);
         assert_eq!(chk.violations().len(), 1);
         assert!(chk.violations()[0].what.contains("exceeds cap"));
     }
@@ -356,7 +353,7 @@ mod tests {
     #[test]
     fn probe_on_live_subflow_is_flagged() {
         let stream = vec![(SimTime::ZERO, probe(1_000_000_000))];
-        let chk = oracle().check_all(&stream);
+        let chk = oracle().check_all(stream);
         assert!(!chk.ok());
         assert!(chk.violations()[0].what.contains("non-failed"));
     }
@@ -373,7 +370,7 @@ mod tests {
                 reason: crate::event::CwndReason::Rto,
             },
         )];
-        let chk = oracle().check_all(&stream);
+        let chk = oracle().check_all(stream);
         assert!(!chk.ok());
         assert!(chk.violations()[0].what.contains("domain"));
     }
@@ -406,7 +403,7 @@ mod tests {
                 },
             ),
         ];
-        let mut chk = oracle().check_all(&stream);
+        let mut chk = oracle().check_all(stream);
         // Restored at t=3, silent until t=20 > 3 + 10s grace: stuck.
         chk.finish(SimTime::from_secs_f64(20.0));
         assert!(!chk.ok());
@@ -422,7 +419,7 @@ mod tests {
                 action: "link_down",
             },
         )];
-        let mut chk = oracle().check_all(&stream);
+        let mut chk = oracle().check_all(stream);
         chk.finish(SimTime::from_secs_f64(60.0));
         assert!(chk.ok(), "{:?}", chk.violations());
     }
@@ -438,7 +435,7 @@ mod tests {
                 total: 1,
             },
         )];
-        let mut chk = oracle().check_all(&stream);
+        let mut chk = oracle().check_all(stream);
         chk.finish(SimTime::from_secs_f64(20.0));
         assert!(chk.ok(), "{:?}", chk.violations());
     }

@@ -68,12 +68,9 @@ impl InvariantChecker {
     }
 
     /// Convenience: replay a recorded event stream through the checker.
-    pub fn check_all<'a>(
-        mut self,
-        events: impl IntoIterator<Item = &'a (SimTime, TraceEvent)>,
-    ) -> Self {
+    pub fn check_all(mut self, events: impl IntoIterator<Item = (SimTime, TraceEvent)>) -> Self {
         for (t, ev) in events {
-            self.record(*t, ev);
+            self.record(t, &ev);
         }
         self
     }
@@ -199,7 +196,7 @@ mod tests {
             (t, deliver(1, 1, 2)),
             (t, cwnd(1, 1.0)),
         ];
-        let chk = InvariantChecker::new(1.0).check_all(&stream);
+        let chk = InvariantChecker::new(1.0).check_all(stream);
         assert!(chk.ok(), "{:?}", chk.violations());
         assert_eq!(chk.events_seen(), 6);
     }
@@ -207,7 +204,7 @@ mod tests {
     #[test]
     fn cwnd_below_floor_is_flagged() {
         let stream = vec![(SimTime::from_nanos(3), cwnd(1, 0.5))];
-        let chk = InvariantChecker::new(1.0).check_all(&stream);
+        let chk = InvariantChecker::new(1.0).check_all(stream);
         assert_eq!(chk.violations().len(), 1);
         assert!(chk.violations()[0].what.contains("probing floor"));
     }
@@ -216,7 +213,7 @@ mod tests {
     fn phantom_delivery_is_flagged() {
         // Deliver without any dequeued data packet.
         let stream = vec![(SimTime::ZERO, deliver(2, 1, 1))];
-        let chk = InvariantChecker::new(1.0).check_all(&stream);
+        let chk = InvariantChecker::new(1.0).check_all(stream);
         assert!(!chk.ok());
         assert!(chk.violations()[0].what.contains("conservation"));
     }
@@ -229,7 +226,7 @@ mod tests {
             (SimTime::ZERO, deliver(1, 2, 2)),
             (SimTime::ZERO, deliver(1, 0, 1)),
         ];
-        let chk = InvariantChecker::new(1.0).check_all(&stream);
+        let chk = InvariantChecker::new(1.0).check_all(stream);
         assert!(!chk.ok());
         assert!(chk.violations()[0].what.contains("backwards"));
     }
@@ -251,7 +248,7 @@ mod tests {
             ),
             (SimTime::ZERO, deliver(1, 1, 1)),
         ];
-        let chk = InvariantChecker::new(1.0).check_all(&stream);
+        let chk = InvariantChecker::new(1.0).check_all(stream);
         assert!(!chk.ok(), "ACK dequeue must not license a data delivery");
     }
 }

@@ -12,8 +12,9 @@
 //!   reasons, cwnd/ssthresh changes, RTO fires, fast retransmits, subflow
 //!   health transitions, re-probes, fault-plan actions.
 //! - [`TraceSink`] — where events go: [`NullSink`] (discard), [`RingSink`]
-//!   (bounded in-memory tail), [`JsonlSink`] (one JSON object per line, with
-//!   a byte-stable field order so same-seed runs are byte-identical),
+//!   (bounded in-memory tail, packed as varints), [`JsonlSink`] (one JSON
+//!   object per line, with a byte-stable field order so same-seed runs are
+//!   byte-identical),
 //!   [`DigestSink`] (folds that same JSONL stream into an FNV-1a digest
 //!   without storing it — the cross-worker determinism witness `orchestra`
 //!   records per job).
@@ -42,6 +43,7 @@ mod digest;
 mod event;
 mod parse;
 mod recorder;
+mod ring;
 mod sink;
 
 pub use chaos::FaultOracle;
@@ -50,6 +52,5 @@ pub use digest::Digest64;
 pub use event::{CwndReason, DropReason, PacketKindLabel, SubflowState, TraceEvent};
 pub use parse::ParseError;
 pub use recorder::{FlightRecorder, DEFAULT_CAPACITY as RECORDER_DEFAULT_CAPACITY};
-pub use sink::{
-    DigestSink, JsonlSink, NullSink, RingSink, SharedSink, TraceFilter, TraceSink, Tracer,
-};
+pub use ring::RingSink;
+pub use sink::{DigestSink, JsonlSink, NullSink, SharedSink, TraceFilter, TraceSink, Tracer};

@@ -150,20 +150,22 @@ impl<'a> Fields<'a> {
     }
 }
 
+/// The `netsim::FaultAction` label set: every `Fault.action` a run emits.
+pub(crate) const FAULT_ACTIONS: [&str; 8] = [
+    "link_down",
+    "link_up",
+    "set_rate",
+    "set_latency",
+    "loss_burst",
+    "set_duplication",
+    "set_reordering",
+    "clear_impairments",
+];
+
 /// `Fault.action` carries a `&'static str`; map the known wire labels back
-/// to their static spellings (the `netsim::FaultAction` label set).
+/// to their static spellings.
 fn intern_fault_action(s: &str) -> Option<&'static str> {
-    const ACTIONS: &[&str] = &[
-        "link_down",
-        "link_up",
-        "set_rate",
-        "set_latency",
-        "loss_burst",
-        "set_duplication",
-        "set_reordering",
-        "clear_impairments",
-    ];
-    ACTIONS.iter().copied().find(|a| *a == s)
+    FAULT_ACTIONS.iter().copied().find(|a| *a == s)
 }
 
 impl TraceEvent {

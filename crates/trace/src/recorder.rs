@@ -6,8 +6,9 @@
 //! [`FaultOracle`](crate::FaultOracle) fires, the bytes *leading up to* the
 //! violation are exactly what a human needs. The [`FlightRecorder`] is a
 //! [`RingSink`] wearing a crash-dump API: it rides along as one more sink,
-//! costs O(capacity) memory, and on failure its retained tail can be dumped
-//! as replayable JSONL (and rendered to a timeline by the `viz` crate).
+//! costs O(capacity) memory (~11.5 packed bytes per event), and on failure
+//! its retained tail can be dumped as replayable JSONL (and rendered to a
+//! timeline by the `viz` crate).
 //!
 //! Determinism: the dump is a pure function of the recorded events — no
 //! wall-clock, hostnames, or paths inside the bytes — so repro dumps are
@@ -18,7 +19,8 @@ use std::io::{self, Write as _};
 use eventsim::SimTime;
 
 use crate::event::TraceEvent;
-use crate::sink::{RingSink, TraceSink};
+use crate::ring::RingSink;
+use crate::sink::TraceSink;
 
 /// Default tail length. Big enough to span several RTO/backoff cycles of a
 /// two-path run (the common repro shape), small enough that a campaign can
@@ -66,8 +68,8 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// The retained tail, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
+    /// The retained tail, oldest first, decoded as the iterator goes.
+    pub fn events(&self) -> impl Iterator<Item = (SimTime, TraceEvent)> + '_ {
         self.ring.events()
     }
 
@@ -77,7 +79,7 @@ impl FlightRecorder {
     pub fn dump_jsonl(&self) -> String {
         let mut out = String::with_capacity(self.ring.len() * 96);
         for (t, ev) in self.ring.events() {
-            out.push_str(&ev.to_jsonl(*t));
+            out.push_str(&ev.to_jsonl(t));
             out.push('\n');
         }
         out
@@ -87,16 +89,10 @@ impl FlightRecorder {
     pub fn dump_to(&self, path: &std::path::Path) -> io::Result<()> {
         let mut f = io::BufWriter::new(std::fs::File::create(path)?);
         for (t, ev) in self.ring.events() {
-            f.write_all(ev.to_jsonl(*t).as_bytes())?;
+            f.write_all(ev.to_jsonl(t).as_bytes())?;
             f.write_all(b"\n")?;
         }
         f.flush()
-    }
-
-    /// Take the retained tail out of the recorder (oldest first), leaving
-    /// it empty but keeping the counters.
-    pub fn into_events(self) -> Vec<(SimTime, TraceEvent)> {
-        self.ring.events().cloned().collect()
     }
 }
 

@@ -1,7 +1,6 @@
 //! Pluggable trace sinks and the `Tracer` handle the simulator emits through.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::rc::Rc;
 
@@ -32,70 +31,6 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     fn record(&mut self, _t: SimTime, _ev: &TraceEvent) {}
-}
-
-/// Bounded in-memory ring buffer keeping the most recent `capacity` events.
-///
-/// Useful for post-mortem inspection in tests and examples: run a scenario,
-/// then walk `events()` without paying for file I/O during the run.
-#[derive(Debug)]
-pub struct RingSink {
-    buf: VecDeque<(SimTime, TraceEvent)>,
-    capacity: usize,
-    recorded: u64,
-    evicted: u64,
-}
-
-impl RingSink {
-    /// A ring keeping at most `capacity` events (capacity 0 keeps none).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
-            buf: VecDeque::with_capacity(capacity.min(4096)),
-            capacity,
-            recorded: 0,
-            evicted: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &(SimTime, TraceEvent)> {
-        self.buf.iter()
-    }
-
-    /// Total events offered to the sink.
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted to respect the capacity bound.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&mut self, t: SimTime, ev: &TraceEvent) {
-        self.recorded += 1;
-        if self.capacity == 0 {
-            self.evicted += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.evicted += 1;
-        }
-        self.buf.push_back((t, ev.clone()));
-    }
 }
 
 /// Streams events as JSON Lines to any `Write` (file, `Vec<u8>`, ...).
@@ -376,6 +311,7 @@ impl std::fmt::Debug for Tracer {
 mod tests {
     use super::*;
     use crate::event::{DropReason, PacketKindLabel};
+    use crate::ring::RingSink;
 
     fn enq(queue: u32, conn: u64, seq: u64) -> TraceEvent {
         TraceEvent::Enqueue {
@@ -387,34 +323,6 @@ mod tests {
             size: 1500,
             qlen: 1,
         }
-    }
-
-    #[test]
-    fn ring_sink_bounds_memory_and_counts_evictions() {
-        let mut ring = RingSink::new(2);
-        for i in 0..5u64 {
-            ring.record(SimTime::from_nanos(i), &enq(0, 0, i));
-        }
-        assert_eq!(ring.recorded(), 5);
-        assert_eq!(ring.evicted(), 3);
-        assert_eq!(ring.len(), 2);
-        let seqs: Vec<u64> = ring
-            .events()
-            .map(|(_, ev)| match ev {
-                TraceEvent::Enqueue { seq, .. } => *seq,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(seqs, vec![3, 4], "keeps the most recent events");
-    }
-
-    #[test]
-    fn zero_capacity_ring_keeps_nothing() {
-        let mut ring = RingSink::new(0);
-        ring.record(SimTime::ZERO, &enq(0, 0, 0));
-        assert!(ring.is_empty());
-        assert_eq!(ring.recorded(), 1);
-        assert_eq!(ring.evicted(), 1);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn main() {
             ev,
             TraceEvent::SubflowState { .. } | TraceEvent::Probe { .. }
         ) {
-            println!("  {}", ev.to_jsonl(*t));
+            println!("  {}", ev.to_jsonl(t));
         }
     }
 

@@ -4,11 +4,17 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use eventsim::{SimDuration, SimTime};
+use std::collections::BTreeSet;
+
+use eventsim::{SimDuration, SimRng, SimTime};
 use mpsim_core::Algorithm;
 use netsim::{route, FaultAction, FaultPlan, QueueConfig, Simulation};
 use tcpsim::{Connection, ConnectionSpec, PathSpec};
-use trace::{Digest64, InvariantChecker, JsonlSink, RingSink, TraceFilter, Tracer};
+use topo::{stagger_starts, ScenarioC, ScenarioCParams};
+use trace::{
+    Digest64, FlightRecorder, InvariantChecker, JsonlSink, RingSink, TraceEvent, TraceFilter,
+    TraceSink, Tracer,
+};
 
 /// A two-path OLIA connection over RED bottlenecks with a mid-run outage
 /// and loss burst — exercises enqueue/dequeue/drop, cwnd, RTO, subflow
@@ -107,6 +113,83 @@ fn ring_replay_through_checker_matches_live_checking() {
     let replayed = InvariantChecker::new(1.0).check_all(ring.events());
     assert!(replayed.ok(), "violations: {:?}", replayed.violations());
     assert_eq!(replayed.events_seen(), ring.recorded());
+}
+
+/// A flight recorder beside a plain list of every event: the list's tail
+/// is what the packed ring must give back.
+struct Tee {
+    recorder: FlightRecorder,
+    all: Vec<(SimTime, TraceEvent)>,
+}
+
+impl TraceSink for Tee {
+    fn record(&mut self, t: SimTime, ev: &TraceEvent) {
+        self.recorder.record(t, ev);
+        self.all.push((t, ev.clone()));
+    }
+}
+
+#[test]
+fn wrapped_flight_recorder_keeps_the_exact_tail_of_a_faulted_run() {
+    let mut sim = Simulation::new(5);
+    let (tracer, tee) = Tracer::to_sink(Tee {
+        recorder: FlightRecorder::new(1 << 12),
+        all: Vec::new(),
+    });
+    sim.set_tracer(tracer);
+    let _conn = build(&mut sim);
+    let mut kinds = BTreeSet::new();
+    for step in 1..=40 {
+        sim.run_until(SimTime::from_secs_f64(0.5 * f64::from(step)));
+        let tee = tee.borrow();
+        let fr = &tee.recorder;
+        assert_eq!(fr.recorded(), tee.all.len() as u64);
+        let tail = &tee.all[tee.all.len() - fr.len()..];
+        let mut jsonl = String::new();
+        for ((t, ev), (t2, ev2)) in fr.events().zip(tail) {
+            assert_eq!((t, &ev), (*t2, ev2));
+            jsonl.push_str(&ev2.to_jsonl(*t2));
+            jsonl.push('\n');
+            kinds.insert(ev.kind());
+        }
+        assert_eq!(
+            fr.dump_jsonl(),
+            jsonl,
+            "dump at t = {} s",
+            0.5 * f64::from(step)
+        );
+    }
+    let tee = tee.borrow();
+    assert!(
+        tee.recorder.truncated() > 5 * (1 << 12),
+        "the ring must wrap many times, evicted {}",
+        tee.recorder.truncated()
+    );
+    for kind in ["rto", "subflow_state", "probe", "fault", "cwnd", "drop"] {
+        assert!(kinds.contains(kind), "no {kind} record in a checked tail");
+    }
+}
+
+/// The packed ring keeps a Scenario C trace at about 11 bytes a record,
+/// against 40 for an unpacked `(SimTime, TraceEvent)`: this pins it at 12.
+#[test]
+fn flight_recorder_stays_lean_on_scenario_c() {
+    let mut sim = Simulation::new(11);
+    let (tracer, ring) = Tracer::to_sink(RingSink::new(1 << 16));
+    sim.set_tracer(tracer);
+    let sc = ScenarioC::build(&mut sim, &ScenarioCParams::paper(10, 1.0, Algorithm::Lia));
+    let conns: Vec<_> = sc.multipath.iter().chain(&sc.single).cloned().collect();
+    stagger_starts(
+        &mut sim,
+        &conns,
+        SimDuration::from_secs(2),
+        &mut SimRng::seed_from_u64(11),
+    );
+    sim.run_until(SimTime::from_secs_f64(10.0));
+    let ring = ring.borrow();
+    assert!(ring.evicted() > 0, "the ring must wrap");
+    let per_record = ring.retained_bytes() as f64 / ring.len() as f64;
+    assert!(per_record <= 12.0, "{per_record:.2} B per retained record");
 }
 
 #[test]
