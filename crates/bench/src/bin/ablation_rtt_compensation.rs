@@ -4,7 +4,8 @@
 //! and that LIA/OLIA *compensate for different RTTs* in their increase
 //! terms. A two-path user over two identical 10 Mb/s bottlenecks (each
 //! shared with 3 TCP flows at that path's RTT), but with one-way
-//! propagation 20 ms vs 80 ms. Uncoupled Reno splits ∝ 1/rtt; the coupled
+//! propagation 20 ms vs 80 ms. Uncoupled Reno takes TCP's share of each
+//! path (tilted toward the short RTT, less than ∝ 1/rtt); the coupled
 //! algorithms' allocations reflect their design (OLIA concentrates on the
 //! path with the higher TCP rate — the short-RTT one — per Theorem 1).
 
@@ -97,10 +98,12 @@ fn main() {
     println!(
         "Reading: the three algorithms pursue different objectives under RTT\n\
          heterogeneity (Remark 3). Uncoupled Reno takes a TCP-fair share of *each*\n\
-         path (biased toward the fast one as plain TCP is). LIA couples via loss:\n\
-         w_r ∝ 1/p_r puts more window on the less-congested slow path even though\n\
-         its rate per window is 4× lower. OLIA ranks paths by the TCP rate\n\
-         √(2/p)/rtt — the fast path wins despite its higher loss — and concentrates\n\
-         there, as Theorem 1 predicts for heterogeneous RTTs."
+         path, biased toward the fast one as plain TCP is (57% of its rate in the\n\
+         tracked paper-scale table). LIA couples via loss, w_r ∝ 1/p_r: its rate\n\
+         splits near evenly (51% on the fast path; 44% in the quick run), so the\n\
+         slow path holds 4–5× the window of the fast one. OLIA ranks paths by the\n\
+         TCP rate √(2/p)/rtt — the fast path wins despite its higher loss — and\n\
+         concentrates there (83% of its rate), as Theorem 1 predicts for\n\
+         heterogeneous RTTs."
     );
 }

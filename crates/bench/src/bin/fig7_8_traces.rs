@@ -82,7 +82,9 @@ fn main() {
         "Paper shape: symmetric case — both algorithms keep both windows open (no\n\
          flapping; OLIA's α ≈ 0). Asymmetric case — OLIA's congested-path window sits\n\
          at 1 MSS most of the time (brief α-driven probes), while LIA maintains a\n\
-         significant window there. Full traces: results/fig7_trace_*.csv,\n\
-         results/fig8_trace_*.csv."
+         significant window there. This run reproduces the symmetric case only: in\n\
+         the asymmetric case OLIA's congested window averages 0.75–0.8× LIA's and\n\
+         is at ≤1.5 MSS only 4–5% of the time (\"w2 at floor %\"), not most of it.\n\
+         Full traces: results/fig7_trace_*.csv, results/fig8_trace_*.csv."
     );
 }

@@ -6,8 +6,8 @@
 //!
 //! 1. **Price-clearing sweeps.** Every link carries a persistent loss
 //!    *price* — its current loss probability. Each sweep sums the current
-//!    rates into link loads, then adjusts each price multiplicatively by
-//!    `(load/capacity)^price_gain`: overloaded links get more expensive,
+//!    rates into link loads, then scales each price by its link's
+//!    utilisation `load/capacity`: overloaded links get more expensive,
 //!    underloaded links decay toward the idle floor. Route losses sum the
 //!    link prices, and [`fluid::rates::target_rates`] maps them to each
 //!    flow's per-path equilibrium rates (Reno/LIA/OLIA/uncoupled — the
@@ -31,20 +31,27 @@
 //!    dslab-style throughput model: a single water-filling pass per
 //!    recompute. An indexed min-heap holds one entry per link that still
 //!    carries an unfrozen subflow, keyed on the level at which it
-//!    saturates; freezing a subflow moves the keys of its own links in
-//!    place, and a link leaves the heap when it saturates or its last
-//!    subflow freezes. For S subflows of path length L over N links a pass
-//!    costs O(S log S) for the demand sort plus O(S·L·log N) for the key
-//!    moves.
+//!    saturates. Keys are raised lazily: freezing a subflow lowers a link's
+//!    key only when the link's level drops below it, and a key that reaches
+//!    the top of the heap stale is raised to its link's level before the
+//!    top is read again. A link leaves the heap when it saturates or its
+//!    last subflow freezes. For S subflows of path length L over N links a
+//!    pass costs O(S log S) for the demand sort plus O(S·L·log N) for the
+//!    key moves.
 //!
 //! Goodput finally discounts each path's allocated rate by its route loss,
 //! mirroring how the packet backend counts delivered (not sent) packets.
 //!
 //! A recompute first gathers the active subflows, in `active` order, into
-//! a dense table: a CSR link list plus each subflow's RTT, rate and
-//! tightest capacity. The sweeps, the fill and the goodput pass all run
+//! a dense table: a CSR link list plus each subflow's RTT, rate, target
+//! and tightest capacity. The sweeps, the fill and the goodput pass all run
 //! over that table, and the allocated rates are scattered back to the flow
-//! slots once at the end.
+//! slots once at the end. A sweep runs in columns: link loads and prices,
+//! then every subflow's TCP rate and probing floor, then every flow's rule
+//! in place on its TCP rates, then every subflow's damped step. Each float
+//! keeps the operation sequence of a sweep that finished one flow before
+//! starting the next (the tests keep that sweep as the reference), so the
+//! columns change speed, not results.
 //!
 //! Everything here is deterministic: iteration follows `active` order and
 //! link index order, floats are compared with `total_cmp` or by their bits,
@@ -53,7 +60,7 @@
 
 use std::ops::Range;
 
-use fluid::rates::{target_rates, RateRule};
+use fluid::rates::{olia_best_paths, target_rates, RateRule};
 
 use crate::sim::{FlowSlot, MAX_SUBFLOWS};
 
@@ -74,10 +81,6 @@ pub struct AllocConfig {
     pub p_ceiling: f64,
     /// Fraction of the distance to the target rate moved per sweep.
     pub damping: f64,
-    /// Multiplicative price-update exponent per sweep: price scales by
-    /// `(load/capacity)^price_gain`. Higher clears faster but risks
-    /// oscillation against the damped rate response.
-    pub price_gain: f64,
     /// Probing floor as a fraction of the path's fair-TCP window: every
     /// established path keeps at least `probe_frac·√(2/p)` MSS per RTT in
     /// flight (and never less than one MSS per RTT). This models the
@@ -98,7 +101,6 @@ impl Default for AllocConfig {
             p_floor: 2e-4,
             p_ceiling: 0.45,
             damping: 0.5,
-            price_gain: 1.0,
             probe_frac: 1.0 / 3.0,
             sweeps: 50,
         }
@@ -139,6 +141,8 @@ struct Subflows {
     rtt: Vec<f64>,
     /// The warm start, then each sweep's rates, then the fill's demands.
     rate: Vec<f64>,
+    /// Each sweep's target rate: the path's TCP rate, then its flow's rule.
+    tgt: Vec<f64>,
     /// Tightest capacity along the path, pkts/s.
     min_cap: Vec<f64>,
 }
@@ -158,16 +162,22 @@ impl Subflows {
         for &fi in active {
             let f = &flows[fi as usize];
             self.rule.push(f.rule);
-            for r in 0..f.num_paths() {
-                let path = f.path_links(r);
-                self.links.extend_from_slice(path);
-                self.link_off.push(self.links.len() as u32);
-                self.min_cap.push(min_cap(caps, path));
+            let (ends, links) = f.hops();
+            let base = self.links.len() as u32;
+            self.links.extend_from_slice(links);
+            let mut start = 0;
+            for &end in ends {
+                self.link_off.push(base + end);
+                self.min_cap
+                    .push(min_cap(caps, &links[start as usize..end as usize]));
+                start = end;
             }
-            self.rtt.extend_from_slice(&f.rtts);
-            self.rate.extend_from_slice(&f.rates);
+            let (rtts, rates) = f.rtts_rates();
+            self.rtt.extend_from_slice(rtts);
+            self.rate.extend_from_slice(rates);
             self.flow_off.push(self.rate.len() as u32);
         }
+        self.tgt.resize(self.rate.len(), 0.0);
     }
 
     /// Number of subflows.
@@ -191,6 +201,7 @@ impl Subflows {
 /// Water-filling state of one [`max_min_fill`] pass.
 #[derive(Debug, Default)]
 struct Fill {
+    /// The allocation; until the fill, each sweep's probing floors.
     alloc: Vec<f64>,
     frozen: Vec<bool>,
     /// Subflows in nondecreasing demand order.
@@ -230,7 +241,7 @@ fn min_cap(caps: &[f64], links: &[u32]) -> f64 {
 /// Recompute rates and goodputs for every flow in `active` (indices into
 /// `flows`), against link capacities `caps` (pkts/s). `link_loss` is the
 /// persistent per-link price state: read as the warm start, written back
-/// with the cleared prices. On return each active slot's `rates` hold the
+/// with the cleared prices. On return each active slot's rates hold the
 /// feasible allocation and `goodput` the loss-discounted delivered rate.
 pub(crate) fn recompute(
     caps: &[f64],
@@ -240,89 +251,140 @@ pub(crate) fn recompute(
     s: &mut AllocScratch,
     link_loss: &mut Vec<f64>,
 ) {
-    let nlinks = caps.len();
-    let sub = &mut s.sub;
-    sub.gather(caps, flows, active);
-    s.loads.clear();
-    s.loads.resize(nlinks, 0.0);
-    // Warm-start prices from the previous recompute (idle floor for links
-    // that did not exist yet).
-    link_loss.resize(nlinks, cfg.p_link_min);
-    s.ploss.clear();
-    s.ploss.extend(
-        link_loss
-            .iter()
-            .map(|p| p.clamp(cfg.p_link_min, cfg.p_link_cap)),
-    );
-
+    s.begin(caps, cfg, flows, active, link_loss);
     // Stage 1: price-clearing sweeps (tâtonnement) of the fluid fixed
     // point.
     for _ in 0..cfg.sweeps {
-        for v in s.loads.iter_mut() {
-            *v = 0.0;
+        s.sweep(caps, cfg);
+    }
+    s.finish(caps, cfg, flows, active, link_loss);
+}
+
+impl AllocScratch {
+    /// Gather the table and warm-start the prices from the previous
+    /// recompute (idle floor for links that did not exist yet).
+    fn begin(
+        &mut self,
+        caps: &[f64],
+        cfg: &AllocConfig,
+        flows: &[FlowSlot],
+        active: &[u32],
+        link_loss: &mut Vec<f64>,
+    ) {
+        self.sub.gather(caps, flows, active);
+        self.loads.clear();
+        self.loads.resize(caps.len(), 0.0);
+        link_loss.resize(caps.len(), cfg.p_link_min);
+        self.ploss.clear();
+        self.ploss.extend(
+            link_loss
+                .iter()
+                .map(|p| p.clamp(cfg.p_link_min, cfg.p_link_cap)),
+        );
+    }
+
+    /// One sweep: sum the rates into link loads, update the prices, then
+    /// move every rate a step toward its flow's target, column by column.
+    /// A subflow's target and floor read only the prices, so no rate
+    /// update is seen before the next sweep.
+    fn sweep(&mut self, caps: &[f64], cfg: &AllocConfig) {
+        self.update_prices(caps, cfg);
+        let sub = &mut self.sub;
+        let floor = &mut self.fill.alloc;
+        floor.resize(sub.len(), 0.0);
+        // Per subflow: the route loss into the target column, then from it
+        // the path's TCP rate and the probing floor — a fraction of the
+        // fair-TCP window at this path's loss, never below one MSS per RTT:
+        // the residual rate controllers hold on paths they have abandoned.
+        // The second loop only reads and writes columns, so it vectorizes.
+        for j in 0..sub.len() {
+            sub.tgt[j] = route_loss(&self.ploss, sub.path(j), cfg);
         }
+        for ((t, lo), &rtt) in sub.tgt.iter_mut().zip(floor.iter_mut()).zip(&sub.rtt) {
+            let r = (2.0 / *t).sqrt();
+            *t = r / rtt;
+            *lo = (cfg.probe_frac * r).max(1.0) / rtt;
+        }
+        // Per flow: its rule, in place on the TCP rates.
+        for (k, &rule) in sub.rule.iter().enumerate() {
+            let js = sub.flow(k);
+            match rule {
+                RateRule::Reno | RateRule::Uncoupled => {}
+                RateRule::Olia => olia_best_paths(&mut sub.tgt[js]),
+                RateRule::Lia => {
+                    let mut p = [0.0; MAX_SUBFLOWS];
+                    for (r, j) in js.clone().enumerate() {
+                        p[r] = route_loss(&self.ploss, sub.path(j), cfg);
+                    }
+                    let n = js.len();
+                    target_rates(rule, &p[..n], &sub.rtt[js.clone()], &mut sub.tgt[js]);
+                }
+            }
+        }
+        // Per subflow: the damped step toward the capped target.
+        let bounds = sub.tgt.iter().zip(floor.iter()).zip(&sub.min_cap);
+        for (x, ((&tgt, &lo), &cap)) in sub.rate.iter_mut().zip(bounds) {
+            let want = tgt.min(cap).max(lo.min(cap));
+            *x += cfg.damping * (want - *x);
+        }
+    }
+
+    /// Sum the current rates into link loads, in `active` order, and scale
+    /// each price by `load/capacity`: overloaded links get more expensive,
+    /// idle ones decay, and the fixed point is the loss probability that
+    /// clears the link.
+    fn update_prices(&mut self, caps: &[f64], cfg: &AllocConfig) {
+        let sub = &self.sub;
+        self.loads.fill(0.0);
         for j in 0..sub.len() {
             let rate = sub.rate[j];
             for &l in sub.path(j) {
-                s.loads[l as usize] += rate;
+                self.loads[l as usize] += rate;
             }
         }
-        for (l, &cap) in caps.iter().enumerate().take(nlinks) {
-            // Overloaded links get more expensive, idle ones decay: the
-            // fixed point is the loss probability that clears the link.
+        for (l, &cap) in caps.iter().enumerate() {
             let util = if cap > 0.0 {
-                s.loads[l] / cap
+                self.loads[l] / cap
             } else {
                 f64::INFINITY
             };
-            s.ploss[l] =
-                (s.ploss[l] * util.powf(cfg.price_gain)).clamp(cfg.p_link_min, cfg.p_link_cap);
-        }
-        for (k, &rule) in sub.rule.iter().enumerate() {
-            let js = sub.flow(k);
-            let n = js.len();
-            let mut p = [0.0; MAX_SUBFLOWS];
-            let mut floor = [0.0; MAX_SUBFLOWS];
-            let mut tgt = [0.0; MAX_SUBFLOWS];
-            for (r, j) in js.clone().enumerate() {
-                p[r] = route_loss(&s.ploss, sub.path(j), cfg);
-                // Probing floor: a fraction of the fair-TCP window at this
-                // path's loss, never below one MSS per RTT — the residual
-                // rate controllers hold on paths they have abandoned.
-                let probe = cfg.probe_frac * (2.0 / p[r]).sqrt();
-                floor[r] = probe.max(1.0) / sub.rtt[j];
-            }
-            target_rates(rule, &p[..n], &sub.rtt[js.clone()], &mut tgt[..n]);
-            for (r, j) in js.enumerate() {
-                let cap = sub.min_cap[j];
-                let want = tgt[r].min(cap).max(floor[r].min(cap));
-                sub.rate[j] += cfg.damping * (want - sub.rate[j]);
-            }
+            self.ploss[l] = (self.ploss[l] * util).clamp(cfg.p_link_min, cfg.p_link_cap);
         }
     }
 
-    // Stage 2: progressive-filling max-min with the sweep rates as demands.
-    for d in sub.rate.iter_mut() {
-        *d = d.max(0.0);
-    }
-    max_min_fill(caps, sub, &mut s.fill);
-
-    // Scatter the projected rates back and derive goodputs from the cleared
-    // prices (the loss probabilities the packet backend would measure).
-    let alloc = &s.fill.alloc;
-    for (k, &fi) in active.iter().enumerate() {
-        let f = &mut flows[fi as usize];
-        f.rates.copy_from_slice(&alloc[sub.flow(k)]);
-        let mut g = 0.0;
-        for j in sub.flow(k) {
-            let p = route_loss(&s.ploss, sub.path(j), cfg);
-            // simlint: allow(R11) ascending range over this flow's subflows; summation order is deterministic
-            g += alloc[j] * (1.0 - p);
+    /// Stage 2, progressive-filling max-min with the sweep rates as
+    /// demands; then scatter the projected rates back, derive goodputs from
+    /// the cleared prices (the loss probabilities the packet backend would
+    /// measure), and store the prices as the next warm start.
+    fn finish(
+        &mut self,
+        caps: &[f64],
+        cfg: &AllocConfig,
+        flows: &mut [FlowSlot],
+        active: &[u32],
+        link_loss: &mut Vec<f64>,
+    ) {
+        let sub = &mut self.sub;
+        for d in sub.rate.iter_mut() {
+            *d = d.max(0.0);
         }
-        f.goodput = g;
+        max_min_fill(caps, sub, &mut self.fill);
+
+        let alloc = &self.fill.alloc;
+        for (k, &fi) in active.iter().enumerate() {
+            let f = &mut flows[fi as usize];
+            f.rtts_rates_mut().1.copy_from_slice(&alloc[sub.flow(k)]);
+            let mut g = 0.0;
+            for j in sub.flow(k) {
+                let p = route_loss(&self.ploss, sub.path(j), cfg);
+                // simlint: allow(R11) ascending range over this flow's subflows; summation order is deterministic
+                g += alloc[j] * (1.0 - p);
+            }
+            f.goodput = g;
+        }
+        link_loss.clear();
+        link_loss.extend_from_slice(&self.ploss);
     }
-    link_loss.clear();
-    link_loss.extend_from_slice(&s.ploss);
 }
 
 /// Saturation level a link would reach if all its unfrozen subflows kept
@@ -345,15 +407,17 @@ fn key_tolerance(key: f64) -> f64 {
 /// saturates. Fills `w.alloc`.
 ///
 /// Levels are decided in nondecreasing order. Each live link sits in the
-/// heap once, and the decision uses its current saturation level. Its key
-/// is that level as of the last time the key moved: a freeze moves the key
-/// only when the level drops below it or rises above it by more than
-/// [`key_tolerance`]. That is the entry a heap which pushed every new level
-/// and rekeyed stale entries only when they surfaced would surface (the two
-/// could part only if a level crept up in several steps, each inside the
-/// tolerance), so links whose levels tie to within rounding are decided in
-/// that heap's order. The tests hold the allocation to such a heap's, bit
-/// for bit.
+/// heap once, and the decision uses its current saturation level. Keys are
+/// raised lazily: a freeze moves a link's key only when the link's level
+/// drops below it, and a key that reaches the top of the heap more than
+/// [`key_tolerance`] below its link's level is raised to that level before
+/// the top is read again. A heap which pushed every new level and rekeyed
+/// stale entries only when they surfaced would decide at the same key (the
+/// two could part only if a level crept up in several steps, each inside
+/// the tolerance: such a heap can decide at an intermediate level's entry
+/// where this one raises the key to the final level), so links whose
+/// levels tie to within rounding are decided in that heap's order. The
+/// tests hold the allocation to such a heap's, bit for bit.
 fn max_min_fill(caps: &[f64], sub: &Subflows, w: &mut Fill) {
     let nlinks = caps.len();
     let nsub = sub.len();
@@ -415,11 +479,7 @@ fn max_min_fill(caps: &[f64], sub: &Subflows, w: &mut Fill) {
             break;
         }
         let next_demand = demand[w.order[ptr] as usize];
-        let top = w
-            .heap
-            .peek()
-            .map(|l| (sat_level(w.rem[l], w.nun[l], w.lvl[l]), l));
-        match top {
+        match first_saturation(w) {
             Some((sat, l)) if sat < next_demand => {
                 // The link saturates first: freeze everyone crossing it.
                 w.heap.remove(l);
@@ -440,9 +500,24 @@ fn max_min_fill(caps: &[f64], sub: &Subflows, w: &mut Fill) {
     }
 }
 
+/// The link on top of the heap and its saturation level, after raising
+/// every stale key that surfaces (see [`max_min_fill`]).
+fn first_saturation(w: &mut Fill) -> Option<(f64, usize)> {
+    while let Some((bits, l)) = w.heap.peek() {
+        let sat = sat_level(w.rem[l], w.nun[l], w.lvl[l]);
+        let key = f64::from_bits(bits);
+        if sat > key + key_tolerance(key) {
+            w.heap.raise_top(sat.to_bits());
+            continue;
+        }
+        return Some((sat, l));
+    }
+    None
+}
+
 /// Freeze subflow `j` at allocation `level`: advance each of its links'
 /// consumption checkpoint to `level`, drop it from their unfrozen counts,
-/// and move their heap keys.
+/// and lower the heap keys its links' levels dropped below.
 fn freeze(sub: &Subflows, w: &mut Fill, j: usize, level: f64) {
     w.frozen[j] = true;
     w.alloc[j] = level;
@@ -454,10 +529,9 @@ fn freeze(sub: &Subflows, w: &mut Fill, j: usize, level: f64) {
         if w.nun[l] == 0 {
             w.heap.remove(l);
         } else if let Some(bits) = w.heap.key(l) {
-            let sat = sat_level(w.rem[l], w.nun[l], w.lvl[l]);
-            let key = f64::from_bits(bits);
-            if sat.to_bits() < bits || sat > key + key_tolerance(key) {
-                w.heap.set_key(l, sat.to_bits());
+            let sat = sat_level(w.rem[l], w.nun[l], w.lvl[l]).to_bits();
+            if sat < bits {
+                w.heap.lower_key(l, sat);
             }
         }
     }
@@ -490,9 +564,9 @@ impl LinkHeap {
         self.sift_up(self.entries.len() - 1);
     }
 
-    /// The link with the smallest key.
-    fn peek(&self) -> Option<usize> {
-        self.entries.first().map(|&(_, l)| l as usize)
+    /// The smallest key and its link.
+    fn peek(&self) -> Option<(u64, usize)> {
+        self.entries.first().map(|&(key, l)| (key, l as usize))
     }
 
     /// Link `l`'s key, if it is in the heap.
@@ -503,16 +577,17 @@ impl LinkHeap {
         }
     }
 
-    /// Change the key of link `l`, which must be in the heap.
-    fn set_key(&mut self, l: usize, key: u64) {
+    /// Lower the key of link `l`, which must be in the heap, to `key`.
+    fn lower_key(&mut self, l: usize, key: u64) {
         let i = self.pos[l] as usize;
-        let old = self.entries[i].0;
         self.entries[i].0 = key;
-        if key < old {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
-        }
+        self.sift_up(i);
+    }
+
+    /// Raise the smallest key, which must exist, to `key`.
+    fn raise_top(&mut self, key: u64) {
+        self.entries[0].0 = key;
+        self.sift_down(0);
     }
 
     /// Remove link `l` if it is in the heap.
@@ -579,9 +654,167 @@ mod tests {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
-    use eventsim::SimRng;
+    use eventsim::{SimDuration, SimRng, SimTime};
 
     use super::*;
+    use crate::net::{FlowNet, LinkId};
+    use crate::sim::{FlowPath, FlowSpec};
+
+    /// The sweep the column passes replaced, kept as their reference: loads
+    /// and prices, then one flow at a time, its
+    /// route losses and floors on the stack and its targets from
+    /// [`target_rates`].
+    fn per_flow_sweep(s: &mut AllocScratch, caps: &[f64], cfg: &AllocConfig) {
+        let sub = &mut s.sub;
+        for v in s.loads.iter_mut() {
+            *v = 0.0;
+        }
+        for j in 0..sub.len() {
+            let rate = sub.rate[j];
+            for &l in sub.path(j) {
+                s.loads[l as usize] += rate;
+            }
+        }
+        for (l, &cap) in caps.iter().enumerate() {
+            let util = if cap > 0.0 {
+                s.loads[l] / cap
+            } else {
+                f64::INFINITY
+            };
+            s.ploss[l] = (s.ploss[l] * util).clamp(cfg.p_link_min, cfg.p_link_cap);
+        }
+        for (k, &rule) in sub.rule.iter().enumerate() {
+            let js = sub.flow(k);
+            let n = js.len();
+            let mut p = [0.0; MAX_SUBFLOWS];
+            let mut floor = [0.0; MAX_SUBFLOWS];
+            let mut tgt = [0.0; MAX_SUBFLOWS];
+            for (r, j) in js.clone().enumerate() {
+                p[r] = route_loss(&s.ploss, sub.path(j), cfg);
+                let probe = cfg.probe_frac * (2.0 / p[r]).sqrt();
+                floor[r] = probe.max(1.0) / sub.rtt[j];
+            }
+            target_rates(rule, &p[..n], &sub.rtt[js.clone()], &mut tgt[..n]);
+            for (r, j) in js.enumerate() {
+                let cap = sub.min_cap[j];
+                let want = tgt[r].min(cap).max(floor[r].min(cap));
+                sub.rate[j] += cfg.damping * (want - sub.rate[j]);
+            }
+        }
+    }
+
+    /// [`recompute`] with the reference sweep.
+    fn reference_recompute(
+        caps: &[f64],
+        cfg: &AllocConfig,
+        flows: &mut [FlowSlot],
+        active: &[u32],
+        s: &mut AllocScratch,
+        link_loss: &mut Vec<f64>,
+    ) {
+        s.begin(caps, cfg, flows, active, link_loss);
+        for _ in 0..cfg.sweeps {
+            per_flow_sweep(s, caps, cfg);
+        }
+        s.finish(caps, cfg, flows, active, link_loss);
+    }
+
+    /// Every active flow's rates and goodput, then the prices, as bits.
+    fn outcome(flows: &[FlowSlot], active: &[u32], link_loss: &[f64]) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for &fi in active {
+            let f = &flows[fi as usize];
+            bits.extend(f.rtts_rates().1.iter().map(|x| x.to_bits()));
+            bits.push(f.goodput.to_bits());
+        }
+        bits.extend(link_loss.iter().map(|x| x.to_bits()));
+        bits
+    }
+
+    #[test]
+    fn column_sweeps_match_the_per_flow_sweep_bit_for_bit() {
+        // All four rules and 1..=MAX_SUBFLOWS paths of 1–6 hops mixed in
+        // each instance, zero-capacity links, 1–8 sweeps, warm starts
+        // outside the price clamp and shorter than the link table, and
+        // scratch reused across sizes.
+        let rules = [
+            RateRule::Reno,
+            RateRule::Lia,
+            RateRule::Olia,
+            RateRule::Uncoupled,
+        ];
+        let cap_pool = [0.0, 1.0 / 3.0, 50.0, 833.0, 8561.6];
+        let mut rng = SimRng::seed_from_u64(0xC01);
+        let (mut s_col, mut s_ref) = (AllocScratch::default(), AllocScratch::default());
+        for case in 0..2_000 {
+            let mut net = FlowNet::new();
+            let nlinks = 1 + rng.below(16);
+            let links: Vec<LinkId> = (0..nlinks)
+                .map(|_| match rng.below(3) {
+                    0 => net.add_link_pps(cap_pool[rng.below(cap_pool.len())]),
+                    _ => net.add_link_pps(rng.f64() * 2_000.0),
+                })
+                .collect();
+            let cfg = AllocConfig {
+                sweeps: 1 + rng.below(8),
+                ..AllocConfig::default()
+            };
+            let specs: Vec<(FlowSpec, Vec<f64>)> = (0..1 + rng.below(8))
+                .map(|i| {
+                    let paths: Vec<FlowPath> = (0..1 + rng.below(MAX_SUBFLOWS))
+                        .map(|_| FlowPath {
+                            links: (0..1 + rng.below(6))
+                                .map(|_| links[rng.below(nlinks)])
+                                .collect(),
+                            rtt: SimDuration::from_micros(1 + rng.below(300_000) as u64),
+                        })
+                        .collect();
+                    let warm = paths.iter().map(|_| rng.f64() * 1_000.0).collect();
+                    let spec = FlowSpec {
+                        conn: i as u64,
+                        rule: rules[rng.below(rules.len())],
+                        paths,
+                        size_pkts: None,
+                    };
+                    (spec, warm)
+                })
+                .collect();
+            let build = || -> Vec<FlowSlot> {
+                specs
+                    .iter()
+                    .map(|(spec, warm)| {
+                        let mut f = FlowSlot::new(spec, &net, SimTime::ZERO);
+                        f.rtts_rates_mut().1.copy_from_slice(warm);
+                        f
+                    })
+                    .collect()
+            };
+            let (mut flows, mut ref_flows) = (build(), build());
+            let mut active: Vec<u32> = (0..specs.len() as u32).collect();
+            rng.shuffle(&mut active);
+            active.truncate(1 + rng.below(active.len()));
+            let mut loss: Vec<f64> = (0..rng.below(nlinks + 1))
+                .map(|_| rng.f64() * 0.6)
+                .collect();
+            let mut ref_loss = loss.clone();
+
+            let caps = net.caps();
+            recompute(caps, &cfg, &mut flows, &active, &mut s_col, &mut loss);
+            reference_recompute(
+                caps,
+                &cfg,
+                &mut ref_flows,
+                &active,
+                &mut s_ref,
+                &mut ref_loss,
+            );
+            assert_eq!(
+                outcome(&flows, &active, &loss),
+                outcome(&ref_flows, &active, &ref_loss),
+                "case {case}: {cfg:?}"
+            );
+        }
+    }
 
     /// Per-link state of [`lazy_fill`].
     struct LazyFill<'a> {

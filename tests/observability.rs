@@ -13,7 +13,7 @@ use tcpsim::{Connection, ConnectionSpec, PathSpec};
 use topo::{stagger_starts, ScenarioC, ScenarioCParams};
 use trace::{
     Digest64, FlightRecorder, InvariantChecker, JsonlSink, RingSink, TraceEvent, TraceFilter,
-    TraceSink, Tracer,
+    TraceSink, Tracer, RECORDER_DUMP_BYTES_PER_RECORD,
 };
 
 /// A two-path OLIA connection over RED bottlenecks with a mid-run outage
@@ -190,6 +190,43 @@ fn flight_recorder_stays_lean_on_scenario_c() {
     assert!(ring.evicted() > 0, "the ring must wrap");
     let per_record = ring.retained_bytes() as f64 / ring.len() as f64;
     assert!(per_record <= 12.0, "{per_record:.2} B per retained record");
+}
+
+/// A dump reserves its bytes once: a wrapped Scenario C tail, AP1 flapping,
+/// averages ~109 B a line, inside the per-record reservation, so the
+/// string never regrows and copies itself.
+#[test]
+fn scenario_c_dump_fits_its_reservation() {
+    let mut sim = Simulation::new(12);
+    let (tracer, fr) = Tracer::to_sink(FlightRecorder::new(1 << 16));
+    sim.set_tracer(tracer);
+    let sc = ScenarioC::build(&mut sim, &ScenarioCParams::paper(10, 1.0, Algorithm::Olia));
+    let conns: Vec<_> = sc.multipath.iter().chain(&sc.single).cloned().collect();
+    stagger_starts(
+        &mut sim,
+        &conns,
+        SimDuration::from_secs(2),
+        &mut SimRng::seed_from_u64(12),
+    );
+    sim.install_fault_plan(FaultPlan::new().flap(
+        sc.ap1,
+        SimTime::from_secs_f64(4.0),
+        SimDuration::from_secs(1),
+        SimDuration::from_secs(2),
+        2,
+    ));
+    sim.run_until(SimTime::from_secs_f64(10.0));
+    let fr = fr.borrow();
+    assert!(fr.truncated() > 0, "the ring must wrap");
+    let reserved = fr.len() * RECORDER_DUMP_BYTES_PER_RECORD;
+    let dump = fr.dump_jsonl();
+    assert!(dump.contains("\"ev\":\"fault\""), "the flap is in the tail");
+    assert!(
+        dump.len() <= reserved,
+        "{} B dumped, {reserved} reserved",
+        dump.len()
+    );
+    assert_eq!(dump.capacity(), reserved, "the dump regrew");
 }
 
 #[test]
