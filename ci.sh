@@ -42,11 +42,13 @@ mkdir -p results
 cargo build --release --offline -p bench
 
 # Table gate: the testbed binaries rewrite the 16 tracked Scenario A-C
-# tables (Figs. 1, 4, 5, 9-12, 17, Tables I-II, the epsilon family) at quick
-# scale, ~8 s on a 2-vCPU host, and the Fig. 7/8 and packet-level ablation
-# binaries rewrite their 10 tables at paper scale, ~3 s. Any byte of
-# difference from the committed results/ fails here, so the tracked tables
-# cannot drift from the code that writes them.
+# tables (Figs. 1, 4, 5, 9-12, 17, Tables I-II, the epsilon family) and the
+# FatTree binaries their 6 (Figs. 13-14, Table III, the two robustness
+# tables) at quick scale, ~30 s on a 2-vCPU host; the Fig. 7/8 and
+# packet-level ablation binaries rewrite their 10 tables at paper scale,
+# ~3 s; and the two fluid-solver binaries, which have no scale switch,
+# their 2, ~5 s. Any byte of difference from the committed results/ fails
+# here, so the tracked tables cannot drift from the code that writes them.
 tracked_tables=()
 for t in fig1b_scenario_a_throughput fig1c_scenario_a_loss \
     fig9_scenario_a_olia_throughput fig10_scenario_a_olia_loss \
@@ -56,17 +58,22 @@ for t in fig1b_scenario_a_throughput fig1c_scenario_a_loss \
     fig5b_scenario_c_analytic fig5c_scenario_c_measured fig5d_scenario_c_loss \
     fig11_scenario_c_olia_throughput fig12_scenario_c_olia_loss \
     ablation_epsilon_family \
+    fig13a_fattree_aggregate fig13b_fattree_ranked \
+    fig14_shortflow_pdf table3_shortflows dc_robustness dc_robustness_faults \
     fig7_8_summary fig7_trace_lia fig7_trace_olia fig8_trace_lia fig8_trace_olia \
     ablation_alpha_responsiveness ablation_path_pruning ablation_rcv_window \
-    ablation_red_variants ablation_rtt_compensation; do
+    ablation_red_variants ablation_rtt_compensation \
+    theory_convergence theory_fluid_equilibria; do
     tracked_tables+=("results/$t.csv")
 done
 rm -f "${tracked_tables[@]}" # a table no binary writes shows as deleted
-for bin in scenario_a scenario_b scenario_c; do
+for bin in scenario_a scenario_b scenario_c \
+    fig13_fattree fig14_table3_shortflows dc_robustness; do
     REPRO_QUICK=1 "./target/release/$bin" >/dev/null
 done
 for bin in fig7_8_traces ablation_alpha_responsiveness ablation_path_pruning \
-    ablation_rcv_window ablation_red_variants ablation_rtt_compensation; do
+    ablation_rcv_window ablation_red_variants ablation_rtt_compensation \
+    theory_convergence theory_fluid; do
     "./target/release/$bin" >/dev/null
 done
 if ! git diff --exit-code --quiet -- "${tracked_tables[@]}"; then

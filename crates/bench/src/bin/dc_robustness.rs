@@ -306,12 +306,13 @@ fn main() {
     t.write_csv("dc_robustness");
     report.table(&t);
     println!(
-        "Reading: a failed path stalls a single-path TCP flow outright (RTO-limited\n\
-         trickle), while MPTCP connections almost surely hold an alive subflow and\n\
-         shift their window onto it — the reliability argument for multipath,\n\
-         quantified. (At much higher failure rates every path of every connection\n\
-         dies and the distinction collapses — path diversity, not multipath itself,\n\
-         is what buys the robustness.)"
+        "Reading: at paper scale (k=8) 12 of the 256 core queue directions fail,\n\
+         and every row keeps 91–93% of its goodput (TCP 91.4%, LIA 91.5%, OLIA\n\
+         92.8%): in aggregate, single-path TCP loses no larger share than MPTCP.\n\
+         MPTCP's gain is absolute: its degraded goodput (75% of line rate) stays\n\
+         above TCP's healthy 49%. At quick scale (k=4) the 5% draw fails none of\n\
+         the 32 queue directions, so both windows are healthy and every row keeps\n\
+         ~100%."
     );
     fault_scenarios(&mut report);
     report.write_or_warn();

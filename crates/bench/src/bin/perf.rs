@@ -44,11 +44,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 
 use bench::fattree::dc_config;
-use bench::json::{parse, Json};
 use bench::report::RunReport;
 use eventsim::{SimDuration, SimRng, SimTime};
 use flowsim::fattree::{install_churn, ChurnParams, FlowFatTree};
 use flowsim::{FlowFatTreeConfig, FlowNet, FlowSim, FlowSimConfig};
+use json::{parse, Json};
 use mpsim_core::Algorithm;
 use netsim::{route, FaultPlan, QueueConfig, Simulation};
 use tcpsim::{Connection, ConnectionSpec, PathSpec, TcpConfig};

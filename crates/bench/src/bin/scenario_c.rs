@@ -20,11 +20,11 @@
 use std::collections::BTreeMap;
 
 use bench::jobs;
-use bench::json::Json;
 use bench::report::RunReport;
 use bench::table::{f3, f4, pm_of, TableSpec};
 use bench::{Point, RunCfg, Sweep};
 use fluid::scenario_c::{self as analysis, ScenarioCPrediction};
+use json::Json;
 use metrics::Summary;
 
 /// Both algorithms' measurements and the analysis at one grid point.

@@ -18,11 +18,8 @@
 //!   directory fails the gate instead of vacuously passing it).
 //! * `2` — usage or I/O error.
 
-use bench::json::parse;
-use bench::report::{
-    is_lint_schema, validate, validate_chaos, validate_lint, validate_sweep, CHAOS_SCHEMA,
-    SWEEP_SCHEMA,
-};
+use bench::report::{validate, validate_chaos, validate_sweep, CHAOS_SCHEMA, SWEEP_SCHEMA};
+use json::parse;
 
 fn main() {
     let mut strict = false;
@@ -96,10 +93,10 @@ fn main() {
             }
         };
         // A results/ directory also holds the simlint report (validated
-        // through simlint's own schema checker, v1 and v2); an orchestra
-        // run directory holds the frozen input manifest, which is an
-        // input, not a report — skip exactly that schema so directory
-        // scans stay usable. Anything else unknown is still an error.
+        // through simlint's own schema checker); an orchestra run
+        // directory holds the frozen input manifest, which is an input,
+        // not a report — skip exactly that schema so directory scans stay
+        // usable. Anything else unknown is still an error.
         let schema = doc.get("schema").and_then(|s| s.as_str());
         if schema == Some("mptcp-manifest/v1") {
             println!("skip    {path} (mptcp-manifest/v1 — orchestra input, not a report)");
@@ -113,8 +110,8 @@ fn main() {
             validate_sweep(&doc)
         } else if schema == Some(CHAOS_SCHEMA) {
             validate_chaos(&doc)
-        } else if schema.is_some_and(is_lint_schema) {
-            validate_lint(&text)
+        } else if schema == Some(simlint::report::SCHEMA) {
+            simlint::report::validate(&doc)
         } else {
             validate(&doc)
         };

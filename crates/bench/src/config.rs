@@ -35,7 +35,7 @@ use netsim::{route, QueueConfig, QueueId, RedParams, Simulation};
 use tcpsim::{Connection, ConnectionSpec, PathSpec};
 use topo::stagger_starts;
 
-use crate::json::Json;
+use json::Json;
 
 /// Queue discipline selection in a scenario file.
 #[derive(Debug, Clone)]
@@ -125,7 +125,7 @@ pub struct ScenarioFile {
     pub flows: Vec<FlowSpec>,
 }
 
-// ---- JSON field extraction (hand-rolled: see crate::json) ----------------
+// ---- JSON field extraction (hand-rolled: see the `json` crate) -----------
 
 fn field<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
     obj.get(key)
@@ -237,7 +237,7 @@ pub struct ScenarioReport {
 
 /// Parse a scenario from JSON text.
 pub fn parse_scenario(json: &str) -> Result<ScenarioFile, String> {
-    let doc = crate::json::parse(json).map_err(|e| format!("scenario parse error: {e}"))?;
+    let doc = json::parse(json).map_err(|e| format!("scenario parse error: {e}"))?;
     let links = items(&doc, "links", "scenario")?
         .iter()
         .enumerate()

@@ -43,8 +43,8 @@ use topo::{ScenarioA, ScenarioAParams, ScenarioB, ScenarioBParams, ScenarioC, Sc
 use trace::{Digest64, DigestSink, Tracer};
 
 use crate::fattree::{self, LongFlows};
-use crate::json::Json;
 use crate::{mean_goodput_mbps, warmup_and_measure, RunCfg};
+use json::Json;
 
 /// Which simulation engine executes a job. The packet backend
 /// (`netsim`/`tcpsim`) is the fidelity reference; the flow backend
@@ -748,6 +748,8 @@ fn flowscale_churn_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {
 // Smoke — a deliberately tiny scenario for orchestrator CI and tests
 // ---------------------------------------------------------------------------
 
+/// Scenario C's body on N2 = 2 unit-rate single-path users and a 1 s + 2 s
+/// run, so a whole grid finishes in well under a second.
 fn smoke_job(ctx: &JobCtx) -> JobOutput {
     let params = ScenarioCParams {
         n1: ctx.usize("n1", 2),
@@ -764,22 +766,7 @@ fn smoke_job(ctx: &JobCtx) -> JobOutput {
         replications: 1,
         seed: ctx.seed,
     };
-    instrumented(ctx, |sim| {
-        let s = ScenarioC::build(sim, &params);
-        let all: Vec<Connection> = s.multipath.iter().chain(s.single.iter()).cloned().collect();
-        let mut rng = SimRng::seed_from_u64(ctx.seed ^ 0x5708);
-        let end = warmup_and_measure(sim, &all, &cfg, &mut rng);
-        BTreeMap::from([
-            (
-                "multipath_norm".to_string(),
-                mean_goodput_mbps(&s.multipath, end) / params.c1_mbps,
-            ),
-            (
-                "single_norm".to_string(),
-                mean_goodput_mbps(&s.single, end) / params.c2_mbps,
-            ),
-        ])
-    })
+    instrumented(ctx, |sim| scenario_c(sim, &params, &cfg, ctx.seed))
 }
 
 fn smoke_grid(_quick: bool) -> Vec<(String, Vec<Json>)> {

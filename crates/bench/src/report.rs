@@ -23,10 +23,11 @@
 //! }
 //! ```
 //!
-//! v2 adds the optional `profile.percentiles` section — tail percentiles
+//! v2 added the optional `profile.percentiles` section — tail percentiles
 //! of every histogram snapshot into the report (the sweep explorer's
-//! per-point pages surface them). [`validate`] accepts both versions, so
-//! v1 artifacts (orchestra's per-job reports among them) stay valid.
+//! per-point pages surface them). Every report in the tree, orchestra's
+//! per-job reports among them, is written as v2, and [`validate`] accepts
+//! only v2.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -36,15 +37,11 @@ use eventsim::SimTime;
 use metrics::Registry;
 use netsim::profile::RunProfile;
 
-use crate::json::Json;
 use crate::table::Table;
+use json::Json;
 
 /// Version tag every report carries in its `schema` field.
 pub const SCHEMA: &str = "mptcp-run-report/v2";
-
-/// The previous run-report version, still accepted by [`validate`] so
-/// v1 reports (e.g. orchestra's per-job reports) keep validating.
-pub const SCHEMA_V1: &str = "mptcp-run-report/v1";
 
 /// Version tag of the cross-seed sweep reports `orchestra` emits (see
 /// [`validate_sweep`]).
@@ -255,7 +252,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         return Err("report must be a JSON object".to_string());
     }
     match require(doc, "schema")?.as_str() {
-        Some(SCHEMA) | Some(SCHEMA_V1) => {}
+        Some(SCHEMA) => {}
         Some(other) => return Err(format!("unknown schema {other:?} (expected {SCHEMA:?})")),
         None => return Err("schema must be a string".to_string()),
     }
@@ -634,29 +631,10 @@ pub fn validate_chaos(doc: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a simlint workspace report (`mptcp-lint-report/v1` or `/v2`)
-/// from its raw JSON text.
-///
-/// The lint report sits in the same `results/` directory the run reports
-/// land in, so `validate_report` must understand it — but it is produced
-/// by [`simlint`] with its own JSON representation, so this delegates:
-/// parse with simlint's parser, check with simlint's schema validator
-/// (which accepts both versions and cross-checks v2's `rule_counts`
-/// against the findings list).
-pub fn validate_lint(text: &str) -> Result<(), String> {
-    let doc = simlint::json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    simlint::report::validate(&doc)
-}
-
-/// Does `schema` name a simlint report version [`validate_lint`] handles?
-pub fn is_lint_schema(schema: &str) -> bool {
-    schema == simlint::report::SCHEMA || schema == simlint::report::SCHEMA_V1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use json::parse;
 
     #[test]
     fn produced_reports_validate() {
@@ -739,12 +717,13 @@ mod tests {
     }
 
     #[test]
-    fn both_schema_versions_validate() {
-        let v1 = r#"{"schema":"mptcp-run-report/v1","name":"x","params":{},"metrics":{},
+    fn only_the_written_schema_version_validates() {
+        let v2 = r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},"metrics":{},
             "tables":{},"profile":{"wall_s":0,"events":0,"events_per_sec":0,"sim_s":0,"sim_wall_ratio":0}}"#;
-        validate(&parse(v1).unwrap()).expect("v1 must stay valid");
-        let v2 = v1.replace("/v1", "/v2");
-        validate(&parse(&v2).unwrap()).expect("v2 must validate");
+        validate(&parse(v2).unwrap()).expect("v2 must validate");
+        let v1 = v2.replace("/v2", "/v1");
+        let err = validate(&parse(&v1).unwrap()).unwrap_err();
+        assert!(err.contains("unknown schema"), "{err}");
     }
 
     #[test]
@@ -770,27 +749,27 @@ mod tests {
             (r#"{"schema":"bogus/v9"}"#, "unknown schema"),
             (r#"{"name":"x"}"#, "missing required field \"schema\""),
             (
-                r#"{"schema":"mptcp-run-report/v1","name":"","params":{},"metrics":{},"tables":{},"profile":{}}"#,
+                r#"{"schema":"mptcp-run-report/v2","name":"","params":{},"metrics":{},"tables":{},"profile":{}}"#,
                 "non-empty",
             ),
             (
-                r#"{"schema":"mptcp-run-report/v1","name":"x","params":{},"metrics":{"m":"nope"},"tables":{},"profile":{}}"#,
+                r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},"metrics":{"m":"nope"},"tables":{},"profile":{}}"#,
                 "metrics.m",
             ),
             (
-                r#"{"schema":"mptcp-run-report/v1","name":"x","params":{},"metrics":{},"tables":{"t":{}},"profile":{}}"#,
+                r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},"metrics":{},"tables":{"t":{}},"profile":{}}"#,
                 "must be an array",
             ),
             (
-                r#"{"schema":"mptcp-run-report/v1","name":"x","params":{},"metrics":{},"tables":{},"profile":{"wall_s":0.1}}"#,
+                r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},"metrics":{},"tables":{},"profile":{"wall_s":0.1}}"#,
                 "profile.events",
             ),
             (
-                r#"{"schema":"mptcp-run-report/v1","name":"x","params":{"backend":"hybrid"},"metrics":{},"tables":{},"profile":{}}"#,
+                r#"{"schema":"mptcp-run-report/v2","name":"x","params":{"backend":"hybrid"},"metrics":{},"tables":{},"profile":{}}"#,
                 "params.backend",
             ),
             (
-                r#"{"schema":"mptcp-run-report/v1","name":"x","params":{"backend":1},"metrics":{},"tables":{},"profile":{}}"#,
+                r#"{"schema":"mptcp-run-report/v2","name":"x","params":{"backend":1},"metrics":{},"tables":{},"profile":{}}"#,
                 "params.backend",
             ),
             ("[1,2]", "must be a JSON object"),
@@ -982,39 +961,11 @@ mod tests {
 
     #[test]
     fn negative_profile_values_rejected() {
-        let text = r#"{"schema":"mptcp-run-report/v1","name":"x","params":{},
+        let text = r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},
             "metrics":{},"tables":{},
             "profile":{"wall_s":-1,"events":0,"events_per_sec":0,"sim_s":0,"sim_wall_ratio":0}}"#;
         assert!(validate(&parse(text).unwrap())
             .unwrap_err()
             .contains("wall_s"));
-    }
-
-    #[test]
-    fn lint_reports_validate_in_both_versions() {
-        // A freshly built v2 document round-trips through the text-level
-        // entry point the validate_report binary uses.
-        let run = simlint::LintRun {
-            files_scanned: 3,
-            findings: vec![],
-            hot_paths: vec!["crates/eventsim/src/queue.rs".to_string()],
-            roots: vec!["EventQueue::pop*".to_string()],
-            matched_roots: vec!["crates/eventsim/src/queue.rs: EventQueue::pop".to_string()],
-        };
-        let v2 = simlint::report::to_json(".", &run).pretty();
-        assert!(is_lint_schema(simlint::report::SCHEMA));
-        validate_lint(&v2).unwrap();
-
-        // Legacy v1 artifacts (no rule_counts / hot_paths / roots) stay
-        // valid, so tracked results from older checkouts keep passing.
-        let v1 = r#"{"schema":"mptcp-lint-report/v1","root":".","files_scanned":1,
-            "rules":[{"id":"R1","name":"wall-clock","summary":"no wall clock"}],
-            "findings":[],"summary":{"suppressed":0,"unsuppressed":0}}"#;
-        assert!(is_lint_schema("mptcp-lint-report/v1"));
-        validate_lint(v1).unwrap();
-
-        // Corruption is caught through the same path.
-        let broken = v2.replace("\"files_scanned\": 3", "\"files_scanned\": -3");
-        assert!(validate_lint(&broken).is_err());
     }
 }

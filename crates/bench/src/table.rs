@@ -7,8 +7,8 @@ use std::path::Path;
 
 use metrics::Summary;
 
-use crate::json::Json;
 use crate::report::RunReport;
+use json::Json;
 
 /// One column of a [`TableSpec`]: its header and its cell for a row.
 pub type Column<R> = (&'static str, fn(&R) -> String);

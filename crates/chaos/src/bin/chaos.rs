@@ -19,9 +19,9 @@
 
 use std::process::ExitCode;
 
-use bench::json::parse;
 use chaos::{report_json, run_case_with, shrink, CampaignCfg, ChaosCase};
 use eventsim::SimDuration;
+use json::parse;
 use tcpsim::TcpConfig;
 
 fn usage() -> ExitCode {

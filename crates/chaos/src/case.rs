@@ -15,8 +15,8 @@
 
 use std::collections::BTreeMap;
 
-use bench::json::Json;
 use eventsim::{SimDuration, SimTime};
+use json::Json;
 use netsim::{FaultAction, FaultPlan, QueueId};
 
 /// One high-level fault idiom. Times are in seconds from sim start; `path`
@@ -554,7 +554,7 @@ mod tests {
         assert_eq!(case, back);
         // And the rendered bytes are stable across render/parse/render.
         let rendered = json.render_pretty();
-        let reparsed = bench::json::parse(&rendered).expect("parse rendered case");
+        let reparsed = json::parse(&rendered).expect("parse rendered case");
         assert_eq!(rendered, reparsed.render_pretty());
     }
 

@@ -7,8 +7,8 @@
 //! digest a replay must reproduce byte-for-byte. Validated by
 //! [`bench::report::validate_chaos`] (and `validate_report --strict`).
 
-use bench::json::Json;
 use bench::report::CHAOS_SCHEMA;
+use json::Json;
 
 use crate::campaign::{CampaignCfg, CampaignResult};
 

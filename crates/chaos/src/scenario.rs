@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use bench::jobs::{JobCtx, JobOutput, ScenarioDef};
-use bench::json::Json;
+use json::Json;
 use tcpsim::TcpConfig;
 
 use crate::campaign::{run_campaign, CampaignCfg};

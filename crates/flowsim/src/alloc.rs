@@ -11,8 +11,8 @@
 //!    underloaded links decay toward the idle floor. Route losses sum the
 //!    link prices, and [`fluid::rates::target_rates`] maps them to each
 //!    flow's per-path equilibrium rates (Reno/LIA/OLIA/uncoupled — the
-//!    same closed forms the ODE backend converges to); rates move a
-//!    fraction `damping` toward the target each sweep. This tâtonnement
+//!    same closed forms the ODE backend converges to); rates move half
+//!    the way (`DAMPING`) toward the target each sweep. This tâtonnement
 //!    mirrors what a drop-tail queue does in the packet backend: loss is
 //!    not a fixed function of load, it is whatever value makes TCP demand
 //!    meet capacity. At the fixed point every busy link sits exactly at
@@ -64,59 +64,27 @@ use fluid::rates::{olia_best_paths, target_rates, RateRule};
 
 use crate::sim::{FlowSlot, MAX_SUBFLOWS};
 
-/// Allocator tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct AllocConfig {
-    /// Per-link price floor: where idle-link prices decay to.
-    pub p_link_min: f64,
-    /// Per-link price cap: where an overloaded link's price saturates
-    /// (the packet backend's drop-everything regime).
-    pub p_link_cap: f64,
-    /// Route-loss floor: no path ever looks loss-free (the `1/√p`
-    /// equilibria diverge at p = 0). Plays the role of the packet
-    /// backend's ambient/probing losses.
-    pub p_floor: f64,
-    /// Route-loss ceiling, keeping equilibrium rates positive and finite
-    /// when many links stack up.
-    pub p_ceiling: f64,
-    /// Fraction of the distance to the target rate moved per sweep.
-    pub damping: f64,
-    /// Probing floor as a fraction of the path's fair-TCP window: every
-    /// established path keeps at least `probe_frac·√(2/p)` MSS per RTT in
-    /// flight (and never less than one MSS per RTT). This models the
-    /// residual window coupled controllers hold on paths they have
-    /// abandoned — packet-level OLIA retains roughly a third of the fair
-    /// window on its non-best paths rather than draining them to zero.
-    pub probe_frac: f64,
-    /// Fixed-point sweeps per recompute. Validation runs afford tens;
-    /// population-scale runs use a handful and rely on warm starts.
-    pub sweeps: usize,
-}
-
-impl Default for AllocConfig {
-    fn default() -> Self {
-        AllocConfig {
-            p_link_min: 1e-5,
-            p_link_cap: 0.45,
-            p_floor: 2e-4,
-            p_ceiling: 0.45,
-            damping: 0.5,
-            probe_frac: 1.0 / 3.0,
-            sweeps: 50,
-        }
-    }
-}
-
-impl AllocConfig {
-    /// Cheaper settings for population-scale churn runs: fewer sweeps,
-    /// leaning on the warm start carried between recomputes.
-    pub fn large_scale() -> AllocConfig {
-        AllocConfig {
-            sweeps: 6,
-            ..AllocConfig::default()
-        }
-    }
-}
+/// Per-link price floor: where idle-link prices decay to.
+const P_LINK_MIN: f64 = 1e-5;
+/// Per-link price cap: where an overloaded link's price saturates (the
+/// packet backend's drop-everything regime).
+const P_LINK_CAP: f64 = 0.45;
+/// Route-loss floor: no path ever looks loss-free (the `1/√p` equilibria
+/// diverge at p = 0). Plays the role of the packet backend's
+/// ambient/probing losses.
+const P_FLOOR: f64 = 2e-4;
+/// Route-loss ceiling, keeping equilibrium rates positive and finite when
+/// many links stack up.
+const P_CEILING: f64 = 0.45;
+/// Fraction of the distance to the target rate moved per sweep.
+const DAMPING: f64 = 0.5;
+/// Probing floor as a fraction of the path's fair-TCP window: every
+/// established path keeps at least `PROBE_FRAC·√(2/p)` MSS per RTT in
+/// flight (and never less than one MSS per RTT). This models the residual
+/// window coupled controllers hold on paths they have abandoned —
+/// packet-level OLIA retains roughly a third of the fair window on its
+/// non-best paths rather than draining them to zero.
+const PROBE_FRAC: f64 = 1.0 / 3.0;
 
 /// Reusable buffers for [`recompute`]; hot-path allocations amortize to
 /// zero once capacities stabilize.
@@ -220,12 +188,12 @@ struct Fill {
 
 /// Route loss for one path: clamped sum of link losses.
 #[inline]
-fn route_loss(ploss: &[f64], links: &[u32], cfg: &AllocConfig) -> f64 {
+fn route_loss(ploss: &[f64], links: &[u32]) -> f64 {
     let mut p = 0.0;
     for &l in links {
         p += ploss[l as usize];
     }
-    p.clamp(cfg.p_floor, cfg.p_ceiling)
+    p.clamp(P_FLOOR, P_CEILING)
 }
 
 /// Tightest capacity along a path, packets per second.
@@ -241,23 +209,24 @@ fn min_cap(caps: &[f64], links: &[u32]) -> f64 {
 /// Recompute rates and goodputs for every flow in `active` (indices into
 /// `flows`), against link capacities `caps` (pkts/s). `link_loss` is the
 /// persistent per-link price state: read as the warm start, written back
-/// with the cleared prices. On return each active slot's rates hold the
-/// feasible allocation and `goodput` the loss-discounted delivered rate.
+/// with the cleared prices. `sweeps` is the number of price-clearing
+/// sweeps. On return each active slot's rates hold the feasible
+/// allocation and `goodput` the loss-discounted delivered rate.
 pub(crate) fn recompute(
     caps: &[f64],
-    cfg: &AllocConfig,
+    sweeps: usize,
     flows: &mut [FlowSlot],
     active: &[u32],
     s: &mut AllocScratch,
     link_loss: &mut Vec<f64>,
 ) {
-    s.begin(caps, cfg, flows, active, link_loss);
+    s.begin(caps, flows, active, link_loss);
     // Stage 1: price-clearing sweeps (tâtonnement) of the fluid fixed
     // point.
-    for _ in 0..cfg.sweeps {
-        s.sweep(caps, cfg);
+    for _ in 0..sweeps {
+        s.sweep(caps);
     }
-    s.finish(caps, cfg, flows, active, link_loss);
+    s.finish(caps, flows, active, link_loss);
 }
 
 impl AllocScratch {
@@ -266,7 +235,6 @@ impl AllocScratch {
     fn begin(
         &mut self,
         caps: &[f64],
-        cfg: &AllocConfig,
         flows: &[FlowSlot],
         active: &[u32],
         link_loss: &mut Vec<f64>,
@@ -274,21 +242,18 @@ impl AllocScratch {
         self.sub.gather(caps, flows, active);
         self.loads.clear();
         self.loads.resize(caps.len(), 0.0);
-        link_loss.resize(caps.len(), cfg.p_link_min);
+        link_loss.resize(caps.len(), P_LINK_MIN);
         self.ploss.clear();
-        self.ploss.extend(
-            link_loss
-                .iter()
-                .map(|p| p.clamp(cfg.p_link_min, cfg.p_link_cap)),
-        );
+        self.ploss
+            .extend(link_loss.iter().map(|p| p.clamp(P_LINK_MIN, P_LINK_CAP)));
     }
 
     /// One sweep: sum the rates into link loads, update the prices, then
     /// move every rate a step toward its flow's target, column by column.
     /// A subflow's target and floor read only the prices, so no rate
     /// update is seen before the next sweep.
-    fn sweep(&mut self, caps: &[f64], cfg: &AllocConfig) {
-        self.update_prices(caps, cfg);
+    fn sweep(&mut self, caps: &[f64]) {
+        self.update_prices(caps);
         let sub = &mut self.sub;
         let floor = &mut self.fill.alloc;
         floor.resize(sub.len(), 0.0);
@@ -298,12 +263,12 @@ impl AllocScratch {
         // the residual rate controllers hold on paths they have abandoned.
         // The second loop only reads and writes columns, so it vectorizes.
         for j in 0..sub.len() {
-            sub.tgt[j] = route_loss(&self.ploss, sub.path(j), cfg);
+            sub.tgt[j] = route_loss(&self.ploss, sub.path(j));
         }
         for ((t, lo), &rtt) in sub.tgt.iter_mut().zip(floor.iter_mut()).zip(&sub.rtt) {
             let r = (2.0 / *t).sqrt();
             *t = r / rtt;
-            *lo = (cfg.probe_frac * r).max(1.0) / rtt;
+            *lo = (PROBE_FRAC * r).max(1.0) / rtt;
         }
         // Per flow: its rule, in place on the TCP rates.
         for (k, &rule) in sub.rule.iter().enumerate() {
@@ -314,7 +279,7 @@ impl AllocScratch {
                 RateRule::Lia => {
                     let mut p = [0.0; MAX_SUBFLOWS];
                     for (r, j) in js.clone().enumerate() {
-                        p[r] = route_loss(&self.ploss, sub.path(j), cfg);
+                        p[r] = route_loss(&self.ploss, sub.path(j));
                     }
                     let n = js.len();
                     target_rates(rule, &p[..n], &sub.rtt[js.clone()], &mut sub.tgt[js]);
@@ -325,7 +290,7 @@ impl AllocScratch {
         let bounds = sub.tgt.iter().zip(floor.iter()).zip(&sub.min_cap);
         for (x, ((&tgt, &lo), &cap)) in sub.rate.iter_mut().zip(bounds) {
             let want = tgt.min(cap).max(lo.min(cap));
-            *x += cfg.damping * (want - *x);
+            *x += DAMPING * (want - *x);
         }
     }
 
@@ -333,7 +298,7 @@ impl AllocScratch {
     /// each price by `load/capacity`: overloaded links get more expensive,
     /// idle ones decay, and the fixed point is the loss probability that
     /// clears the link.
-    fn update_prices(&mut self, caps: &[f64], cfg: &AllocConfig) {
+    fn update_prices(&mut self, caps: &[f64]) {
         let sub = &self.sub;
         self.loads.fill(0.0);
         for j in 0..sub.len() {
@@ -348,7 +313,7 @@ impl AllocScratch {
             } else {
                 f64::INFINITY
             };
-            self.ploss[l] = (self.ploss[l] * util).clamp(cfg.p_link_min, cfg.p_link_cap);
+            self.ploss[l] = (self.ploss[l] * util).clamp(P_LINK_MIN, P_LINK_CAP);
         }
     }
 
@@ -359,7 +324,6 @@ impl AllocScratch {
     fn finish(
         &mut self,
         caps: &[f64],
-        cfg: &AllocConfig,
         flows: &mut [FlowSlot],
         active: &[u32],
         link_loss: &mut Vec<f64>,
@@ -376,7 +340,7 @@ impl AllocScratch {
             f.rtts_rates_mut().1.copy_from_slice(&alloc[sub.flow(k)]);
             let mut g = 0.0;
             for j in sub.flow(k) {
-                let p = route_loss(&self.ploss, sub.path(j), cfg);
+                let p = route_loss(&self.ploss, sub.path(j));
                 // simlint: allow(R11) ascending range over this flow's subflows; summation order is deterministic
                 g += alloc[j] * (1.0 - p);
             }
@@ -664,7 +628,7 @@ mod tests {
     /// and prices, then one flow at a time, its
     /// route losses and floors on the stack and its targets from
     /// [`target_rates`].
-    fn per_flow_sweep(s: &mut AllocScratch, caps: &[f64], cfg: &AllocConfig) {
+    fn per_flow_sweep(s: &mut AllocScratch, caps: &[f64]) {
         let sub = &mut s.sub;
         for v in s.loads.iter_mut() {
             *v = 0.0;
@@ -681,7 +645,7 @@ mod tests {
             } else {
                 f64::INFINITY
             };
-            s.ploss[l] = (s.ploss[l] * util).clamp(cfg.p_link_min, cfg.p_link_cap);
+            s.ploss[l] = (s.ploss[l] * util).clamp(P_LINK_MIN, P_LINK_CAP);
         }
         for (k, &rule) in sub.rule.iter().enumerate() {
             let js = sub.flow(k);
@@ -690,15 +654,15 @@ mod tests {
             let mut floor = [0.0; MAX_SUBFLOWS];
             let mut tgt = [0.0; MAX_SUBFLOWS];
             for (r, j) in js.clone().enumerate() {
-                p[r] = route_loss(&s.ploss, sub.path(j), cfg);
-                let probe = cfg.probe_frac * (2.0 / p[r]).sqrt();
+                p[r] = route_loss(&s.ploss, sub.path(j));
+                let probe = PROBE_FRAC * (2.0 / p[r]).sqrt();
                 floor[r] = probe.max(1.0) / sub.rtt[j];
             }
             target_rates(rule, &p[..n], &sub.rtt[js.clone()], &mut tgt[..n]);
             for (r, j) in js.enumerate() {
                 let cap = sub.min_cap[j];
                 let want = tgt[r].min(cap).max(floor[r].min(cap));
-                sub.rate[j] += cfg.damping * (want - sub.rate[j]);
+                sub.rate[j] += DAMPING * (want - sub.rate[j]);
             }
         }
     }
@@ -706,17 +670,17 @@ mod tests {
     /// [`recompute`] with the reference sweep.
     fn reference_recompute(
         caps: &[f64],
-        cfg: &AllocConfig,
+        sweeps: usize,
         flows: &mut [FlowSlot],
         active: &[u32],
         s: &mut AllocScratch,
         link_loss: &mut Vec<f64>,
     ) {
-        s.begin(caps, cfg, flows, active, link_loss);
-        for _ in 0..cfg.sweeps {
-            per_flow_sweep(s, caps, cfg);
+        s.begin(caps, flows, active, link_loss);
+        for _ in 0..sweeps {
+            per_flow_sweep(s, caps);
         }
-        s.finish(caps, cfg, flows, active, link_loss);
+        s.finish(caps, flows, active, link_loss);
     }
 
     /// Every active flow's rates and goodput, then the prices, as bits.
@@ -755,10 +719,7 @@ mod tests {
                     _ => net.add_link_pps(rng.f64() * 2_000.0),
                 })
                 .collect();
-            let cfg = AllocConfig {
-                sweeps: 1 + rng.below(8),
-                ..AllocConfig::default()
-            };
+            let sweeps = 1 + rng.below(8);
             let specs: Vec<(FlowSpec, Vec<f64>)> = (0..1 + rng.below(8))
                 .map(|i| {
                     let paths: Vec<FlowPath> = (0..1 + rng.below(MAX_SUBFLOWS))
@@ -799,10 +760,10 @@ mod tests {
             let mut ref_loss = loss.clone();
 
             let caps = net.caps();
-            recompute(caps, &cfg, &mut flows, &active, &mut s_col, &mut loss);
+            recompute(caps, sweeps, &mut flows, &active, &mut s_col, &mut loss);
             reference_recompute(
                 caps,
-                &cfg,
+                sweeps,
                 &mut ref_flows,
                 &active,
                 &mut s_ref,
@@ -811,7 +772,7 @@ mod tests {
             assert_eq!(
                 outcome(&flows, &active, &loss),
                 outcome(&ref_flows, &active, &ref_loss),
-                "case {case}: {cfg:?}"
+                "case {case}: {sweeps} sweeps"
             );
         }
     }

@@ -45,7 +45,6 @@ pub mod net;
 pub mod scenarios;
 pub mod sim;
 
-pub use alloc::AllocConfig;
 pub use fattree::{FlowFatTree, FlowFatTreeConfig};
 pub use net::{mbps_to_pps, pps_to_mbps, FlowNet, LinkId, MSS_BYTES};
 pub use sim::{FlowId, FlowPath, FlowSim, FlowSimConfig, FlowSpec, MAX_SUBFLOWS};

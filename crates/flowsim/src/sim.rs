@@ -19,7 +19,7 @@ use eventsim::{EventQueue, SimDuration, SimTime};
 use fluid::rates::RateRule;
 use trace::{TraceEvent, Tracer};
 
-use crate::alloc::{self, AllocConfig, AllocScratch};
+use crate::alloc::{self, AllocScratch};
 use crate::net::{FlowNet, LinkId};
 
 /// Maximum subflows per connection (bounds the allocator's stack buffers).
@@ -173,8 +173,10 @@ enum Ev {
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct FlowSimConfig {
-    /// Allocator tuning.
-    pub alloc: AllocConfig,
+    /// Price-clearing sweeps per allocator recompute. Validation runs
+    /// afford tens; population-scale runs use a handful and rely on the
+    /// warm start carried between recomputes.
+    pub sweeps: usize,
     /// Minimum simulated time between allocator recomputes. Zero means
     /// recompute on every state change (exact, for validation).
     pub recompute_gap: SimDuration,
@@ -186,7 +188,7 @@ pub struct FlowSimConfig {
 impl Default for FlowSimConfig {
     fn default() -> Self {
         FlowSimConfig {
-            alloc: AllocConfig::default(),
+            sweeps: 50,
             recompute_gap: SimDuration::ZERO,
             trace_rates: true,
         }
@@ -198,7 +200,7 @@ impl FlowSimConfig {
     /// cheap allocator sweeps, completion-only tracing.
     pub fn large_scale() -> FlowSimConfig {
         FlowSimConfig {
-            alloc: AllocConfig::large_scale(),
+            sweeps: 6,
             recompute_gap: SimDuration::from_millis(25),
             trace_rates: false,
         }
@@ -236,11 +238,7 @@ impl FlowSim {
     ///
     /// [`schedule_capacity`]: FlowSim::schedule_capacity
     pub fn new(net: FlowNet, cfg: FlowSimConfig) -> FlowSim {
-        assert!(cfg.alloc.sweeps > 0, "allocator needs at least one sweep");
-        assert!(
-            cfg.alloc.damping > 0.0 && cfg.alloc.damping <= 1.0,
-            "damping must be in (0, 1]"
-        );
+        assert!(cfg.sweeps > 0, "allocator needs at least one sweep");
         let nlinks = net.len();
         FlowSim {
             net,
@@ -538,7 +536,7 @@ impl FlowSim {
         // 2. Reallocate.
         alloc::recompute(
             self.net.caps(),
-            &self.cfg.alloc,
+            self.cfg.sweeps,
             &mut self.flows,
             &self.active,
             &mut self.scratch,

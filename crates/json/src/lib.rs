@@ -1,15 +1,26 @@
-//! A small recursive-descent JSON parser and serializer.
+#![forbid(unsafe_code)]
+#![deny(rust_2018_idioms)]
+#![warn(missing_docs)]
+
+//! The workspace's one general JSON reader and writer: a small
+//! recursive-descent parser and serializer with no dependencies.
 //!
-//! The scenario-file front door used `serde`/`serde_json`, which the
-//! offline build environment cannot fetch; the grammar a scenario file
-//! needs (objects, arrays, strings, numbers, booleans, null) fits in a page
-//! of hand-rolled parser, so that is what this is. Errors carry byte
-//! offsets so a broken scenario file points at the problem.
+//! Scenario files, run/sweep/chaos/lint reports, orchestra manifests and
+//! journals, chaos cases and the perf record all go through [`parse`] and
+//! [`Json`]. The one exception is the flat JSONL trace line, which
+//! `trace::parse` decodes with a scanner typed to that wire format. The
+//! crate depends on nothing, so `simlint`, which gates the rest of the
+//! workspace, still builds from a bare toolchain.
 //!
-//! Serialization (for the machine-readable run reports) is the mirror
-//! image: [`Json::render`] emits compact JSON, [`Json::render_pretty`] the
-//! indented form written under `results/`. Objects are `BTreeMap`s, so
-//! output field order is sorted and byte-stable across runs.
+//! `serde`/`serde_json` cannot be fetched by the offline build, and the
+//! grammar these files need (objects, arrays, strings, numbers, booleans,
+//! null) fits in a page of hand-rolled parser. Errors carry byte offsets
+//! so a broken file points at the problem.
+//!
+//! Serialization is the mirror image: [`Json::render`] emits compact JSON,
+//! [`Json::render_pretty`] the indented form written under `results/`.
+//! Objects are `BTreeMap`s, so output field order is sorted and
+//! byte-stable across runs.
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -10,7 +10,7 @@
 //! Exit status: `0` all jobs done, `1` at least one job failed (or an
 //! orchestrator error), `2` usage error. Results land in
 //! `<out-root>/<run-id>/` (see [`orchestra::rundir`]): per-job
-//! `mptcp-run-report/v1` files, the append-only journal, and the
+//! `mptcp-run-report/v2` files, the append-only journal, and the
 //! cross-seed `sweep.json` — all byte-identical for any `--jobs` value.
 
 use std::path::PathBuf;

@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use bench::jobs::point_key;
-use bench::json::Json;
+use json::Json;
 use trace::Digest64;
 
 /// Version tag of manifest documents (also embedded in the frozen copy the
@@ -245,8 +245,8 @@ impl Manifest {
     pub fn from_file(path: &std::path::Path) -> Result<Manifest, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let doc = bench::json::parse(&text)
-            .map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
+        let doc =
+            json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", path.display()))?;
         Manifest::parse(&doc)
     }
 
@@ -352,7 +352,7 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::json::parse;
+    use json::parse;
 
     fn demo() -> Manifest {
         let text = r#"{

@@ -6,7 +6,7 @@
 //! results/orchestra/<run-id>/
 //!   manifest.json    frozen input manifest — authoritative on resume
 //!   journal.jsonl    append-only: one line per finished job attempt-group
-//!   jobs/<stem>.json one mptcp-run-report/v1 per completed job
+//!   jobs/<stem>.json one mptcp-run-report/v2 per completed job
 //!   sweep.json       mptcp-sweep-report/v1 cross-seed aggregation
 //! ```
 //!
@@ -25,7 +25,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use bench::jobs::{file_stem, JobOutput};
-use bench::json::Json;
+use json::Json;
 
 use crate::manifest::{Job, Manifest};
 
@@ -225,7 +225,7 @@ impl RunDir {
             if line.trim().is_empty() {
                 continue;
             }
-            let Ok(doc) = bench::json::parse(line) else {
+            let Ok(doc) = json::parse(line) else {
                 continue; // torn final write from an interrupted run
             };
             let entry = JournalEntry::from_json(&doc)?;
@@ -248,7 +248,7 @@ impl RunDir {
             .map_err(|e| format!("cannot append to {}: {e}", path.display()))
     }
 
-    /// Write the per-job `mptcp-run-report/v1` under `jobs/`, returning the
+    /// Write the per-job `mptcp-run-report/v2` under `jobs/`, returning the
     /// run-dir-relative path. The report is a pure function of the job and
     /// its output — wall-clock profile fields are zeroed so the bytes are
     /// identical across worker counts and resumes.
@@ -281,7 +281,7 @@ impl RunDir {
     }
 }
 
-/// Assemble a job's `mptcp-run-report/v1`. Profile wall-clock fields are
+/// Assemble a job's `mptcp-run-report/v2`. Profile wall-clock fields are
 /// deliberately zero (see [`RunDir::write_job_report`]); `events` and
 /// `sim_s` are simulation-deterministic and kept.
 fn job_report(manifest: &Manifest, job: &Job, out: &JobOutput, stem: &str) -> Json {
@@ -332,7 +332,7 @@ mod tests {
           "seeds": [1],
           "scenarios": [{ "name": "smoke", "grid": { "algorithm": ["lia"] } }]
         }"#;
-        Manifest::parse(&bench::json::parse(text).unwrap()).unwrap()
+        Manifest::parse(&json::parse(text).unwrap()).unwrap()
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
         let rel2 = dir.write_job_report(&m, job, &output).unwrap();
         assert_eq!(rel, rel2);
         assert_eq!(first, fs::read(dir.root().join(&rel)).unwrap());
-        let doc = bench::json::parse(std::str::from_utf8(&first).unwrap()).unwrap();
+        let doc = json::parse(std::str::from_utf8(&first).unwrap()).unwrap();
         bench::report::validate(&doc).unwrap();
         assert_eq!(
             doc.get("params").unwrap().get("scenario").unwrap().as_str(),

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use bench::json::Json;
+use json::Json;
 use metrics::Summary;
 
 use crate::manifest::{Job, Manifest};
@@ -145,7 +145,7 @@ mod tests {
           "seeds": [1, 2],
           "scenarios": [{ "name": "smoke", "grid": { "algorithm": ["lia", "olia"] } }]
         }"#;
-        Manifest::parse(&bench::json::parse(text).unwrap()).unwrap()
+        Manifest::parse(&json::parse(text).unwrap()).unwrap()
     }
 
     fn output(v: f64) -> JobOutput {

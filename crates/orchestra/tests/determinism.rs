@@ -27,7 +27,7 @@ fn manifest() -> Manifest {
         { "name": "smoke", "grid": { "algorithm": ["lia", "olia"], "c1_over_c2": [0.8] } }
       ]
     }"#;
-    Manifest::parse(&bench::json::parse(text).unwrap()).unwrap()
+    Manifest::parse(&json::parse(text).unwrap()).unwrap()
 }
 
 /// Run the manifest with the given worker count; return the sweep bytes
@@ -69,7 +69,7 @@ fn worker_count_never_changes_report_bytes() {
     // The sweep validates, and every job carries a real trace digest — the
     // byte-identity above therefore covers the full event stream of every
     // simulation, not just the final metrics.
-    let doc = bench::json::parse(std::str::from_utf8(&sweep1).unwrap()).unwrap();
+    let doc = json::parse(std::str::from_utf8(&sweep1).unwrap()).unwrap();
     bench::report::validate_sweep(&doc).unwrap();
     let index = doc.get("job_index").unwrap().as_array().unwrap();
     assert_eq!(index.len(), 4);
@@ -92,7 +92,7 @@ fn per_job_reports_validate_against_run_report_schema() {
     let root = out_root("job_schema");
     let (_, jobs) = run_with_workers(&root, 2);
     for (name, bytes) in &jobs {
-        let doc = bench::json::parse(std::str::from_utf8(bytes).unwrap()).unwrap();
+        let doc = json::parse(std::str::from_utf8(bytes).unwrap()).unwrap();
         bench::report::validate(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
         // Wall-clock profile fields must be zeroed — any nonzero value
         // would leak scheduling into bytes that must stay deterministic.

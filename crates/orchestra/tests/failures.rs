@@ -33,7 +33,7 @@ fn manifest(id: &str) -> Manifest {
           ]
         }}"#
     );
-    Manifest::parse(&bench::json::parse(&text).unwrap()).unwrap()
+    Manifest::parse(&json::parse(&text).unwrap()).unwrap()
 }
 
 fn ok_output() -> JobOutput {
@@ -46,14 +46,14 @@ fn ok_output() -> JobOutput {
     }
 }
 
-fn sweep(dir: &RunDir) -> bench::json::Json {
+fn sweep(dir: &RunDir) -> json::Json {
     let text = fs::read_to_string(dir.root().join("sweep.json")).unwrap();
-    let doc = bench::json::parse(&text).unwrap();
+    let doc = json::parse(&text).unwrap();
     bench::report::validate_sweep(&doc).expect("sweep with failures must still validate");
     doc
 }
 
-fn index_entry<'a>(doc: &'a bench::json::Json, needle: &str) -> &'a bench::json::Json {
+fn index_entry<'a>(doc: &'a json::Json, needle: &str) -> &'a json::Json {
     doc.get("job_index")
         .unwrap()
         .as_array()
@@ -154,7 +154,7 @@ fn bad_parameter_fails_through_the_real_registry_runner() {
         { "name": "smoke", "grid": { "algorithm": ["olia", "no-such-algorithm"] } }
       ]
     }"#;
-    let m = Manifest::parse(&bench::json::parse(text).unwrap()).unwrap();
+    let m = Manifest::parse(&json::parse(text).unwrap()).unwrap();
     let dir = RunDir::create(&root, "r", &m).unwrap();
     let opts = RunOpts {
         workers: 2,

@@ -25,7 +25,7 @@ fn manifest() -> Manifest {
         { "name": "smoke", "grid": { "algorithm": ["lia", "olia"], "c1_over_c2": [1.2] } }
       ]
     }"#;
-    Manifest::parse(&bench::json::parse(text).unwrap()).unwrap()
+    Manifest::parse(&json::parse(text).unwrap()).unwrap()
 }
 
 fn job_files(root: &Path) -> Vec<(String, Vec<u8>)> {

@@ -8,12 +8,13 @@
 //! Every result this repository publishes (LIA vs OLIA fairness, Figs
 //! 1–17) rests on the simulator being bit-deterministic for a given seed.
 //! The trace-digest tests catch a nondeterminism *after* it ships; this
-//! tool rejects the hazard classes before they reach an event loop. It is
-//! deliberately dependency-free — a hand-rolled lexer ([`lexer`]), a
+//! tool rejects the hazard classes before they reach an event loop. It
+//! depends on no simulator crate — a hand-rolled lexer ([`lexer`]), a
 //! recursive-descent parser over it ([`ast`]), a call graph ([`graph`]),
-//! a tiny JSON module ([`json`]), and a tiny TOML-subset parser
-//! ([`config`]) — because it gates the rest of the workspace and must
-//! build offline from a bare toolchain.
+//! and a tiny TOML-subset parser ([`config`]) — and writes its report with
+//! the workspace's [`json`] crate, which depends on nothing, because it
+//! gates the rest of the workspace and must build offline from a bare
+//! toolchain.
 //!
 //! The rules (R1–R11) are documented in [`rules`] and in DESIGN.md's
 //! "Static analysis & determinism rules" section. The workspace pass is
@@ -33,7 +34,6 @@
 pub mod ast;
 pub mod config;
 pub mod graph;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;

@@ -24,8 +24,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use simlint::report;
 use simlint::rules::{Finding, META_RULES, RULES};
-use simlint::{json, report};
 
 struct Options {
     root: PathBuf,
@@ -233,7 +233,7 @@ fn main() -> ExitCode {
         if let Some(parent) = path.parent() {
             let _ = std::fs::create_dir_all(parent);
         }
-        if let Err(e) = std::fs::write(path, doc.pretty()) {
+        if let Err(e) = std::fs::write(path, doc.render_pretty() + "\n") {
             eprintln!("simlint: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }

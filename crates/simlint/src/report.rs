@@ -7,10 +7,12 @@
 //! Suppressed findings are included with their reasons — the report is the
 //! audit trail for every `allow` in the tree.
 //!
-//! v2 adds three fields on top of v1 (the validator accepts both):
-//! `rule_counts` (per-rule suppressed/unsuppressed tallies), `hot_paths`
-//! (the call-graph-derived R5 hot-path file set), and `roots` (the
-//! reachability root patterns plus the root functions actually matched).
+//! Beside the findings, a report carries `rule_counts` (per-rule
+//! suppressed/unsuppressed tallies), `hot_paths` (the call-graph-derived
+//! R5 hot-path file set), and `roots` (the reachability root patterns
+//! plus the root functions actually matched). The document is a
+//! [`json::Json`], so its keys are written sorted, like every other
+//! report in the workspace.
 //!
 //! Shape (all top-level fields required):
 //!
@@ -32,27 +34,26 @@
 //! }
 //! ```
 
-use crate::json::Json;
+use json::Json;
+
 use crate::rules::{META_RULES, RULES};
 use crate::LintRun;
 
 /// Version tag carried in every report's `schema` field.
 pub const SCHEMA: &str = "mptcp-lint-report/v2";
 
-/// The previous schema version, still accepted by [`validate`] so reports
-/// written by older checkouts keep validating.
-pub const SCHEMA_V1: &str = "mptcp-lint-report/v1";
-
 /// Build the report document.
 pub fn to_json(root: &str, run: &LintRun) -> Json {
+    let strings =
+        |items: &[String]| Json::Array(items.iter().map(|p| Json::from(p.as_str())).collect());
     let rules = RULES
         .iter()
         .chain(META_RULES)
         .map(|r| {
-            Json::Obj(vec![
-                ("id".into(), Json::Str(r.id.into())),
-                ("name".into(), Json::Str(r.name.into())),
-                ("summary".into(), Json::Str(r.summary.into())),
+            Json::object([
+                ("id", Json::from(r.id)),
+                ("name", Json::from(r.name)),
+                ("summary", Json::from(r.summary)),
             ])
         })
         .collect();
@@ -60,107 +61,80 @@ pub fn to_json(root: &str, run: &LintRun) -> Json {
         .findings
         .iter()
         .map(|f| {
-            Json::Obj(vec![
-                ("rule".into(), Json::Str(f.rule.into())),
-                ("file".into(), Json::Str(f.file.clone())),
-                ("line".into(), Json::Num(f.line as f64)),
-                ("col".into(), Json::Num(f.col as f64)),
-                ("message".into(), Json::Str(f.message.clone())),
-                ("suppressed".into(), Json::Bool(f.suppressed.is_some())),
+            Json::object([
+                ("rule", Json::from(f.rule)),
+                ("file", Json::from(f.file.as_str())),
+                ("line", Json::Number(f.line.into())),
+                ("col", Json::Number(f.col.into())),
+                ("message", Json::from(f.message.as_str())),
+                ("suppressed", Json::from(f.suppressed.is_some())),
                 (
-                    "reason".into(),
-                    match &f.suppressed {
-                        Some(reason) => Json::Str(reason.clone()),
-                        None => Json::Null,
-                    },
+                    "reason",
+                    f.suppressed.as_deref().map_or(Json::Null, Json::from),
                 ),
             ])
         })
         .collect();
-    let rule_counts = RULES
-        .iter()
-        .chain(META_RULES)
-        .map(|r| {
-            let (mut sup, mut unsup) = (0usize, 0usize);
-            for f in run.findings.iter().filter(|f| f.rule == r.id) {
-                if f.suppressed.is_some() {
-                    sup += 1;
-                } else {
-                    unsup += 1;
-                }
+    let rule_counts = RULES.iter().chain(META_RULES).map(|r| {
+        let (mut sup, mut unsup) = (0usize, 0usize);
+        for f in run.findings.iter().filter(|f| f.rule == r.id) {
+            if f.suppressed.is_some() {
+                sup += 1;
+            } else {
+                unsup += 1;
             }
-            (
-                r.id.to_string(),
-                Json::Obj(vec![
-                    ("suppressed".into(), Json::Num(sup as f64)),
-                    ("unsuppressed".into(), Json::Num(unsup as f64)),
-                ]),
-            )
-        })
-        .collect();
+        }
+        (
+            r.id,
+            Json::object([
+                ("suppressed", Json::from(sup)),
+                ("unsuppressed", Json::from(unsup)),
+            ]),
+        )
+    });
     let suppressed = run
         .findings
         .iter()
         .filter(|f| f.suppressed.is_some())
         .count();
-    Json::Obj(vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("root".into(), Json::Str(root.into())),
-        ("files_scanned".into(), Json::Num(run.files_scanned as f64)),
-        ("rules".into(), Json::Arr(rules)),
-        ("findings".into(), Json::Arr(entries)),
-        ("rule_counts".into(), Json::Obj(rule_counts)),
+    Json::object([
+        ("schema", Json::from(SCHEMA)),
+        ("root", Json::from(root)),
+        ("files_scanned", Json::from(run.files_scanned)),
+        ("rules", Json::Array(rules)),
+        ("findings", Json::Array(entries)),
+        ("rule_counts", Json::object(rule_counts)),
+        ("hot_paths", strings(&run.hot_paths)),
         (
-            "hot_paths".into(),
-            Json::Arr(run.hot_paths.iter().map(|p| Json::Str(p.clone())).collect()),
-        ),
-        (
-            "roots".into(),
-            Json::Obj(vec![
-                (
-                    "patterns".into(),
-                    Json::Arr(run.roots.iter().map(|p| Json::Str(p.clone())).collect()),
-                ),
-                (
-                    "matched".into(),
-                    Json::Arr(
-                        run.matched_roots
-                            .iter()
-                            .map(|p| Json::Str(p.clone()))
-                            .collect(),
-                    ),
-                ),
+            "roots",
+            Json::object([
+                ("patterns", strings(&run.roots)),
+                ("matched", strings(&run.matched_roots)),
             ]),
         ),
         (
-            "summary".into(),
-            Json::Obj(vec![
-                ("suppressed".into(), Json::Num(suppressed as f64)),
-                (
-                    "unsuppressed".into(),
-                    Json::Num((run.findings.len() - suppressed) as f64),
-                ),
+            "summary",
+            Json::object([
+                ("suppressed", Json::from(suppressed)),
+                ("unsuppressed", Json::from(run.findings.len() - suppressed)),
             ]),
         ),
     ])
 }
 
-/// Validate a parsed report against `mptcp-lint-report/v1` or `/v2`.
+/// Validate a parsed report against `mptcp-lint-report/v2`.
 pub fn validate(doc: &Json) -> Result<(), String> {
     let schema = field_str(doc, "schema")?;
-    if schema != SCHEMA && schema != SCHEMA_V1 {
-        return Err(format!(
-            "schema is {schema:?}, expected {SCHEMA:?} (or legacy {SCHEMA_V1:?})"
-        ));
+    if schema != SCHEMA {
+        return Err(format!("schema is {schema:?}, expected {SCHEMA:?}"));
     }
-    let v2 = schema == SCHEMA;
     field_str(doc, "root")?;
     field_count(doc, "files_scanned")?;
 
     let known_ids: Vec<&str> = RULES.iter().chain(META_RULES).map(|r| r.id).collect();
     let rules = doc
         .get("rules")
-        .and_then(Json::as_arr)
+        .and_then(Json::as_array)
         .ok_or("missing `rules` array")?;
     for (i, rule) in rules.iter().enumerate() {
         for key in ["id", "name", "summary"] {
@@ -170,7 +144,7 @@ pub fn validate(doc: &Json) -> Result<(), String> {
 
     let findings = doc
         .get("findings")
-        .and_then(Json::as_arr)
+        .and_then(Json::as_array)
         .ok_or("missing `findings` array")?;
     let mut suppressed = 0usize;
     let mut per_rule: Vec<(&str, usize, usize)> = Vec::new();
@@ -184,12 +158,12 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         field_count(f, "line").map_err(at)?;
         field_count(f, "col").map_err(at)?;
         field_str(f, "message").map_err(at)?;
-        let is_suppressed = match f.get("suppressed") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err(format!("findings[{i}]: `suppressed` must be a bool")),
-        };
+        let is_suppressed = f
+            .get("suppressed")
+            .and_then(Json::as_bool)
+            .ok_or_else(|| format!("findings[{i}]: `suppressed` must be a bool"))?;
         match (is_suppressed, f.get("reason")) {
-            (true, Some(Json::Str(reason))) if !reason.trim().is_empty() => suppressed += 1,
+            (true, Some(Json::String(reason))) if !reason.trim().is_empty() => suppressed += 1,
             (true, _) => {
                 return Err(format!(
                     "findings[{i}]: suppressed finding must carry a non-empty `reason`"
@@ -218,55 +192,52 @@ pub fn validate(doc: &Json) -> Result<(), String> {
         }
     }
 
-    if v2 {
-        let counts = doc
-            .get("rule_counts")
-            .and_then(Json::as_obj)
-            .ok_or("missing `rule_counts` object")?;
-        for (id, entry) in counts {
-            if !known_ids.contains(&id.as_str()) {
-                return Err(format!("rule_counts: unknown rule {id:?}"));
-            }
-            let sup =
-                field_count(entry, "suppressed").map_err(|e| format!("rule_counts.{id}: {e}"))?;
-            let unsup =
-                field_count(entry, "unsuppressed").map_err(|e| format!("rule_counts.{id}: {e}"))?;
-            let (actual_sup, actual_unsup) = per_rule
-                .iter()
-                .find(|(r, _, _)| *r == id)
-                .map(|(_, s, u)| (*s, *u))
-                .unwrap_or((0, 0));
-            if sup != actual_sup || unsup != actual_unsup {
-                return Err(format!(
-                    "rule_counts.{id} ({sup}/{unsup}) disagrees with the findings array \
-                     ({actual_sup}/{actual_unsup})"
-                ));
-            }
+    let counts = doc
+        .get("rule_counts")
+        .and_then(Json::as_object)
+        .ok_or("missing `rule_counts` object")?;
+    for (id, entry) in counts {
+        if !known_ids.contains(&id.as_str()) {
+            return Err(format!("rule_counts: unknown rule {id:?}"));
         }
-        for (rule, _, _) in &per_rule {
-            if !counts.iter().any(|(id, _)| id == rule) {
-                return Err(format!("rule_counts: missing entry for rule {rule:?}"));
-            }
+        let sup = field_count(entry, "suppressed").map_err(|e| format!("rule_counts.{id}: {e}"))?;
+        let unsup =
+            field_count(entry, "unsuppressed").map_err(|e| format!("rule_counts.{id}: {e}"))?;
+        let (actual_sup, actual_unsup) = per_rule
+            .iter()
+            .find(|(r, _, _)| *r == id)
+            .map(|(_, s, u)| (*s, *u))
+            .unwrap_or((0, 0));
+        if sup != actual_sup || unsup != actual_unsup {
+            return Err(format!(
+                "rule_counts.{id} ({sup}/{unsup}) disagrees with the findings array \
+                 ({actual_sup}/{actual_unsup})"
+            ));
         }
-        let hot = doc
-            .get("hot_paths")
-            .and_then(Json::as_arr)
-            .ok_or("missing `hot_paths` array")?;
-        for (i, p) in hot.iter().enumerate() {
+    }
+    for (rule, _, _) in &per_rule {
+        if !counts.contains_key(*rule) {
+            return Err(format!("rule_counts: missing entry for rule {rule:?}"));
+        }
+    }
+    let hot = doc
+        .get("hot_paths")
+        .and_then(Json::as_array)
+        .ok_or("missing `hot_paths` array")?;
+    for (i, p) in hot.iter().enumerate() {
+        if p.as_str().is_none() {
+            return Err(format!("hot_paths[{i}]: must be a string"));
+        }
+    }
+    let roots = doc.get("roots").ok_or("missing `roots`")?;
+    for key in ["patterns", "matched"] {
+        let arr = roots
+            .get(key)
+            .and_then(Json::as_array)
+            .ok_or_else(|| format!("roots: missing `{key}` array"))?;
+        for (i, p) in arr.iter().enumerate() {
             if p.as_str().is_none() {
-                return Err(format!("hot_paths[{i}]: must be a string"));
-            }
-        }
-        let roots = doc.get("roots").ok_or("missing `roots`")?;
-        for key in ["patterns", "matched"] {
-            let arr = roots
-                .get(key)
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("roots: missing `{key}` array"))?;
-            for (i, p) in arr.iter().enumerate() {
-                if p.as_str().is_none() {
-                    return Err(format!("roots.{key}[{i}]: must be a string"));
-                }
+                return Err(format!("roots.{key}[{i}]: must be a string"));
             }
         }
     }
@@ -296,7 +267,7 @@ fn field_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, String> {
 fn field_count(doc: &Json, key: &str) -> Result<usize, String> {
     let n = doc
         .get(key)
-        .and_then(Json::as_num)
+        .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing numeric field `{key}`"))?;
     if n < 0.0 || n.fract() != 0.0 {
         return Err(format!("field `{key}` must be a non-negative integer"));
@@ -307,8 +278,8 @@ fn field_count(doc: &Json, key: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
     use crate::rules::Finding;
+    use json::parse;
 
     fn sample() -> LintRun {
         LintRun {
@@ -340,7 +311,7 @@ mod tests {
     #[test]
     fn report_round_trips_and_validates() {
         let doc = to_json(".", &sample());
-        let text = doc.pretty();
+        let text = doc.render_pretty();
         let back = parse(&text).expect("report parses");
         validate(&back).expect("report validates");
     }
@@ -348,22 +319,29 @@ mod tests {
     #[test]
     fn validator_rejects_wrong_schema_and_lying_summary() {
         let doc = to_json(".", &sample());
-        let mut text = doc.pretty();
+        let mut text = doc.render_pretty();
         text = text.replace("mptcp-lint-report/v2", "mptcp-lint-report/v0");
         assert!(validate(&parse(&text).unwrap())
             .unwrap_err()
             .contains("schema"));
 
         let text = to_json(".", &sample())
-            .pretty()
+            .render_pretty()
             .replace("\"unsuppressed\": 1", "\"unsuppressed\": 0");
         assert!(validate(&parse(&text).unwrap()).is_err());
+
+        let text = to_json(".", &sample())
+            .render_pretty()
+            .replace("\"files_scanned\": 140", "\"files_scanned\": -140");
+        assert!(validate(&parse(&text).unwrap())
+            .unwrap_err()
+            .contains("files_scanned"));
     }
 
     #[test]
     fn validator_requires_reasons_on_suppressed_findings() {
         let text = to_json(".", &sample())
-            .pretty()
+            .render_pretty()
             .replace("\"profiling is the point\"", "\"\"");
         assert!(validate(&parse(&text).unwrap())
             .unwrap_err()
@@ -373,10 +351,11 @@ mod tests {
     #[test]
     fn validator_checks_v2_rule_counts_against_findings() {
         // Lying per-rule tally: R1 claims no suppressed finding.
-        let text =
-            to_json(".", &sample())
-                .pretty()
-                .replacen("\"suppressed\": 1", "\"suppressed\": 0", 1);
+        let text = to_json(".", &sample()).render_pretty().replacen(
+            "\"suppressed\": 1",
+            "\"suppressed\": 0",
+            1,
+        );
         let err = validate(&parse(&text).unwrap()).unwrap_err();
         assert!(
             err.contains("rule_counts") || err.contains("disagrees"),
@@ -385,8 +364,8 @@ mod tests {
     }
 
     #[test]
-    fn validator_accepts_legacy_v1_reports_without_v2_fields() {
-        // A v1 report has no rule_counts/hot_paths/roots.
+    fn validator_rejects_v1_reports() {
+        // v1 had no rule_counts/hot_paths/roots; nothing writes it any more.
         let v1 = r#"{
             "schema": "mptcp-lint-report/v1",
             "root": ".",
@@ -395,6 +374,10 @@ mod tests {
             "findings": [],
             "summary": {"suppressed": 0, "unsuppressed": 0}
         }"#;
-        validate(&parse(v1).unwrap()).expect("v1 validates");
+        let err = validate(&parse(v1).unwrap()).unwrap_err();
+        assert!(err.contains("mptcp-lint-report/v1"), "{err}");
+        // Relabelled v2, the same document still misses the v2 fields.
+        let err = validate(&parse(&v1.replace("/v1", "/v2")).unwrap()).unwrap_err();
+        assert!(err.contains("rule_counts"), "{err}");
     }
 }

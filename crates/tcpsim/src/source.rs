@@ -245,7 +245,7 @@ impl TcpSource {
             .map(|fwd| Subflow {
                 fwd,
                 cwnd: cfg.initial_cwnd,
-                ssthresh: cfg.pin_ssthresh.unwrap_or(cfg.init_ssthresh),
+                ssthresh: cfg.init_ssthresh,
                 recover: NO_RECOVERY,
                 next_seq: 0,
                 max_sent: 0,
@@ -651,9 +651,8 @@ impl TcpSource {
                     // Fast retransmit + enter fast recovery.
                     let recover = sf.next_seq;
                     let new_cwnd = self.reduce_on_loss(idx);
-                    let pin = self.cfg.pin_ssthresh;
                     let sf = &mut self.subflows[idx];
-                    sf.ssthresh = pin.unwrap_or(new_cwnd);
+                    sf.ssthresh = new_cwnd;
                     sf.cwnd = new_cwnd;
                     sf.recover = recover;
                     self.handle.update(|s| s.subflows[idx].loss_events += 1);
@@ -685,14 +684,12 @@ impl TcpSource {
         let expired_rto = self.subflows[idx].rto_with_backoff(&self.bounds);
         let new_cwnd = self.reduce_on_loss(idx);
         {
-            let pin = self.cfg.pin_ssthresh;
             let sf = &mut self.subflows[idx];
             // A repeated expiry (backoff > 0) times out a segment the timer
             // already resent; ssthresh then holds (RFC 5681 §3.1) rather
-            // than falling with the 1-MSS window to the floor. A pinned
-            // ssthresh never moves, so it needs no case of its own.
+            // than falling with the 1-MSS window to the floor.
             if sf.backoff == 0 {
-                sf.ssthresh = pin.unwrap_or(new_cwnd);
+                sf.ssthresh = new_cwnd;
             }
             sf.cwnd = 1.0;
             sf.recover = NO_RECOVERY;

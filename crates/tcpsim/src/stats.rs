@@ -19,12 +19,6 @@ pub struct TcpConfig {
     /// Initial slow-start threshold in MSS. `ConnectionSpec` lowers this to
     /// 1 MSS for multipath OLIA connections per §IV-B.
     pub init_ssthresh: f64,
-    /// When set, `ssthresh` is pinned to this value at all times — the
-    /// paper's §IV-B modification for multipath OLIA ("we set the ssthresh
-    /// to be 1 MSS if multiple paths are established"): subflows never slow
-    /// start, so a congested path's window stays at the probing floor
-    /// instead of bouncing off it after every timeout.
-    pub pin_ssthresh: Option<f64>,
     /// Receive window in MSS (effective window = min(cwnd, rcv_wnd)).
     pub rcv_wnd: f64,
     /// Minimum RTO (Linux: 200 ms).
@@ -82,7 +76,6 @@ impl Default for TcpConfig {
             ack_size: 40,
             initial_cwnd: 2.0,
             init_ssthresh: 1e9,
-            pin_ssthresh: None,
             rcv_wnd: 1e9,
             min_rto: SimDuration::from_millis(200),
             max_rto: SimDuration::from_secs(60),

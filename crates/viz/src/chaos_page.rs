@@ -10,7 +10,7 @@
 
 use std::fmt::Write as _;
 
-use bench::json::Json;
+use json::Json;
 
 use crate::page::page;
 use crate::render::{meta_line, timeline_body};
@@ -235,7 +235,7 @@ pub fn render_chaos_html(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::json::parse;
+    use json::parse;
 
     fn case_doc() -> Json {
         parse(

@@ -139,8 +139,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     let (input, out) = positional_and_flag(args, "--out")?;
     let text = std::fs::read_to_string(&input)
         .map_err(|e| format!("cannot read {}: {e}", input.display()))?;
-    let case =
-        bench::json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", input.display()))?;
+    let case = json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", input.display()))?;
     // The chaos runner writes the recorded trace alongside the case file.
     let trace_path = input.with_extension("trace.jsonl");
     let trace_text = std::fs::read_to_string(&trace_path).ok();

@@ -16,7 +16,7 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use bench::json::Json;
+use json::Json;
 
 use crate::page::page;
 use crate::svg::{esc, fmt2, Svg};
@@ -412,8 +412,8 @@ pub fn render_run_dir(
     let sweep_path = run_dir.join("sweep.json");
     let text = std::fs::read_to_string(&sweep_path)
         .map_err(|e| format!("cannot read {}: {e}", sweep_path.display()))?;
-    let doc = bench::json::parse(&text)
-        .map_err(|e| format!("{}: invalid JSON: {e}", sweep_path.display()))?;
+    let doc =
+        json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", sweep_path.display()))?;
     let mut job_reports = BTreeMap::new();
     if let Some(index) = doc.get("job_index").and_then(Json::as_array) {
         for entry in index {
@@ -424,7 +424,7 @@ pub fn render_run_dir(
             let Ok(text) = std::fs::read_to_string(&path) else {
                 continue; // failed jobs have no report; skip silently
             };
-            if let Ok(parsed) = bench::json::parse(&text) {
+            if let Ok(parsed) = json::parse(&text) {
                 job_reports.insert(rel.to_string(), parsed);
             }
         }
@@ -435,7 +435,7 @@ pub fn render_run_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bench::json::parse;
+    use json::parse;
 
     fn sample_doc() -> Json {
         parse(

@@ -6,7 +6,7 @@
 # measurement windows; extra arguments pass straight through to orchestra
 # (e.g. --jobs 4, --filter scenario_b).
 #
-# Results land in results/orchestra/<run-id>/: one mptcp-run-report/v1 per
+# Results land in results/orchestra/<run-id>/: one mptcp-run-report/v2 per
 # job under jobs/, the append-only journal, and the cross-seed sweep.json
 # (mptcp-sweep-report/v1). Re-running resumes the existing run directory,
 # skipping journaled-done jobs. See EXPERIMENTS.md for the runbook; the

@@ -43,8 +43,7 @@ fn fixtures() -> Vec<(String, ChaosCase)> {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-            let doc =
-                bench::json::parse(&text).unwrap_or_else(|e| panic!("{name}: invalid JSON: {e}"));
+            let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: invalid JSON: {e}"));
             let case = ChaosCase::from_json(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
             (name, case)
         })

@@ -12,10 +12,10 @@
 //! configuration must produce identical FNV-1a trace digests.
 
 use bench::jobs::{self, JobCtx};
-use bench::json::Json;
 use eventsim::SimDuration;
 use flowsim::scenarios::{measure_two_class, scenario_a, scenario_b, scenario_c};
 use flowsim::{fattree, FlowFatTreeConfig, FlowSimConfig};
+use json::Json;
 use mpsim_core::Algorithm;
 
 /// Stated cross-backend tolerance on mean per-class goodput.

@@ -258,9 +258,9 @@ fn conn_filter_restricts_trace_to_one_connection() {
 
 #[test]
 fn run_reports_round_trip_through_the_validator() {
-    use bench::json::parse;
     use bench::report::{validate, RunReport};
     use bench::table::Table;
+    use json::parse;
 
     let mut sim = Simulation::new(3);
     let mut report = RunReport::start("observability_integration");
