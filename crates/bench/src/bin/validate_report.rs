@@ -92,26 +92,22 @@ fn main() {
                 continue;
             }
         };
-        // A results/ directory also holds the simlint report (validated
-        // through simlint's own schema checker); an orchestra run
-        // directory holds the frozen input manifest, which is an input,
-        // not a report — skip exactly that schema so directory scans stay
-        // usable. Anything else unknown is still an error.
+        // An orchestra run directory holds the frozen input manifest, which
+        // is an input, not a report — skip exactly that schema so directory
+        // scans stay usable. Anything else unknown is still an error.
         let schema = doc.get("schema").and_then(|s| s.as_str());
         if schema == Some("mptcp-manifest/v1") {
             println!("skip    {path} (mptcp-manifest/v1 — orchestra input, not a report)");
             continue;
         }
         checked += 1;
-        // Sweep reports (orchestra's cross-seed aggregation), chaos
-        // campaign reports, and lint reports have their own schemas;
-        // everything else must be a plain run report.
+        // Sweep reports (orchestra's cross-seed aggregation) and chaos
+        // campaign reports have their own schemas; everything else must be
+        // a plain run report.
         let result = if schema == Some(SWEEP_SCHEMA) {
             validate_sweep(&doc)
         } else if schema == Some(CHAOS_SCHEMA) {
             validate_chaos(&doc)
-        } else if schema == Some(simlint::report::SCHEMA) {
-            simlint::report::validate(&doc)
         } else {
             validate(&doc)
         };

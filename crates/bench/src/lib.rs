@@ -126,6 +126,10 @@ pub fn measure<P: Sync>(
     cfg: &RunCfg,
 ) -> BTreeMap<String, Summary> {
     let label = jobs::file_stem(key);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one independent simulation per replication thread; results are joined in seed order, so scheduling cannot reach them"
+    )]
     let reps: Vec<BTreeMap<String, f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.replications)
             .map(|i| {

@@ -34,7 +34,6 @@ pub fn run(
 ) -> TraceResult {
     let config = TcpConfig {
         trace: true,
-        trace_interval: 0.05,
         ..TcpConfig::default()
     };
     let params = TwoBottleneckParams {

@@ -1,6 +1,13 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+// Determinism rules; DESIGN.md "Static analysis & determinism rules".
+// R5: no panicking extractor where the event loop can reach it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+// R9: no silently truncating cast of a time, sequence or index value.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+// R4: no exact float comparison in congestion-control math.
+#![cfg_attr(not(test), warn(clippy::float_cmp))]
 
 //! Multipath congestion-control algorithms from *"MPTCP is not
 //! Pareto-Optimal: Performance Issues and a Possible Solution"*

@@ -175,7 +175,6 @@ fn pack(at: SimTime, seq: u64) -> u128 {
 }
 
 fn unpack_time(key: u128) -> SimTime {
-    // simlint: allow(R9) exact by construction: the high 64 bits are the packed nanosecond time
     SimTime::from_nanos((key >> 64) as u64)
 }
 

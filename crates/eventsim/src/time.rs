@@ -27,7 +27,10 @@ impl SimTime {
     /// Construct from seconds expressed as a float (rounded to nanoseconds).
     ///
     /// Panics if `secs` is negative or non-finite.
-    // simlint: allow(R6) this constructor IS the typed-unit boundary raw seconds enter through
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the unit boundary: raw seconds become nanoseconds here, rounded once"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid time {secs}");
         SimTime((secs * 1e9).round() as u64)
@@ -78,7 +81,6 @@ impl SimDuration {
     /// rounding is bit-identical to the `ms / 1e3` spelling it replaces.
     ///
     /// Panics if `ms` is negative or non-finite.
-    // simlint: allow(R6) this constructor IS the typed-unit boundary raw milliseconds enter through
     pub fn from_millis_f64(ms: f64) -> Self {
         Self::from_secs_f64(ms / 1e3)
     }
@@ -91,7 +93,10 @@ impl SimDuration {
     /// Construct from seconds expressed as a float (rounded to nanoseconds).
     ///
     /// Panics if `secs` is negative or non-finite.
-    // simlint: allow(R6) this constructor IS the typed-unit boundary raw seconds enter through
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the unit boundary: raw seconds become nanoseconds here, rounded once"
+    )]
     pub fn from_secs_f64(secs: f64) -> Self {
         assert!(secs.is_finite() && secs >= 0.0, "invalid duration {secs}");
         SimDuration((secs * 1e9).round() as u64)
@@ -140,11 +145,14 @@ impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     /// Panics on underflow: subtracting a later time from an earlier one is a
     /// logic error in simulation code.
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate loud panic: negative time is a logic error; saturating_since is the non-panicking API"
+    )]
     fn sub(self, rhs: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(R5) deliberate loud panic: negative time is a logic error; saturating_since is the non-panicking API
                 .expect("SimTime subtraction underflow"),
         )
     }
@@ -165,11 +173,14 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    #[expect(
+        clippy::expect_used,
+        reason = "deliberate loud panic: a negative duration is a logic error, not a recoverable state"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(R5) deliberate loud panic: a negative duration is a logic error, not a recoverable state
                 .expect("SimDuration subtraction underflow"),
         )
     }

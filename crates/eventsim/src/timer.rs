@@ -108,6 +108,10 @@ impl<M: Default> TimerSlab<M> {
             // Slab growth guard, not a hot-path invariant: 2^32 concurrently
             // armed timers would exhaust memory long before this trips.
             assert!(self.slots.len() < u32::MAX as usize, "timer slab full");
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the assert above bounds the slab below u32::MAX"
+            )]
             let slot = self.slots.len() as u32;
             self.slots.push(TimerSlot {
                 gen: NonZeroU32::MIN,

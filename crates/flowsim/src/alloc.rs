@@ -341,7 +341,6 @@ impl AllocScratch {
             let mut g = 0.0;
             for j in sub.flow(k) {
                 let p = route_loss(&self.ploss, sub.path(j));
-                // simlint: allow(R11) ascending range over this flow's subflows; summation order is deterministic
                 g += alloc[j] * (1.0 - p);
             }
             f.goodput = g;

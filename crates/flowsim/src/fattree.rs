@@ -192,7 +192,10 @@ impl FlowFatTree {
 
     /// Install a connection from `src` to `dst` with `subflows` subflows
     /// on sampled paths. The flow is not started.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the flow-level twin of topo's FatTree::connect: endpoints, algorithm, size, RNG and id are all independent"
+    )]
     pub fn connect(
         &self,
         sim: &mut FlowSim,

@@ -1,6 +1,9 @@
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+// Determinism rules; DESIGN.md "Static analysis & determinism rules".
+// R5: no panicking extractor where the event loop can reach it.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 //! Flow-level fair-share simulation backend.
 //!

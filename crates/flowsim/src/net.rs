@@ -52,7 +52,10 @@ impl FlowNet {
             cap_pps.is_finite() && cap_pps >= 0.0,
             "link capacity must be finite and non-negative, got {cap_pps}"
         );
-        // simlint: allow(R5) capacity invariant — a u32 link table cannot overflow before memory does
+        #[expect(
+            clippy::expect_used,
+            reason = "capacity invariant: a u32 link table cannot overflow before memory does"
+        )]
         let id = u32::try_from(self.caps.len()).expect("more than u32::MAX links");
         self.caps.push(cap_pps);
         LinkId(id)

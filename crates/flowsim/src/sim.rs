@@ -99,7 +99,10 @@ impl FlowSlot {
             assert!(!p.links.is_empty(), "a path must cross at least one link");
             assert!(p.rtt > SimDuration::ZERO, "rtt must be positive");
             end += p.links.len();
-            // simlint: allow(R5) capacity invariant — a u32 hop table cannot overflow before memory does
+            #[expect(
+                clippy::expect_used,
+                reason = "capacity invariant: a u32 hop table cannot overflow before memory does"
+            )]
             hops.push(u32::try_from(end).expect("path table overflow"));
             per_path.push(p.rtt.as_secs_f64());
         }
@@ -280,7 +283,10 @@ impl FlowSim {
                 FlowId { slot: i, gen }
             }
             None => {
-                // simlint: allow(R5) capacity invariant — a u32 flow table cannot overflow before memory does
+                #[expect(
+                    clippy::expect_used,
+                    reason = "capacity invariant: a u32 flow table cannot overflow before memory does"
+                )]
                 let i = u32::try_from(self.flows.len()).expect("flow table overflow");
                 self.flows.push(slot);
                 FlowId { slot: i, gen: 0 }
@@ -371,16 +377,6 @@ impl FlowSim {
         }
     }
 
-    /// Current loss-discounted delivery rate of `flow`, packets/s.
-    pub fn goodput_pps(&self, flow: FlowId) -> f64 {
-        self.slot(flow).goodput
-    }
-
-    /// Whether `flow` is currently sending.
-    pub fn is_active(&self, flow: FlowId) -> bool {
-        self.slot(flow).active
-    }
-
     /// Loss probability of link `l` at the last recompute.
     pub fn link_loss(&self, l: LinkId) -> f64 {
         self.link_loss[l.index()]
@@ -437,7 +433,10 @@ impl FlowSim {
     fn handle(&mut self, ev: Ev, t: SimTime) {
         match ev {
             Ev::Start(fi) => {
-                // simlint: allow(R5) capacity invariant — the active set is bounded by the u32-indexed flow table
+                #[expect(
+                    clippy::expect_used,
+                    reason = "capacity invariant: the active set is bounded by the u32-indexed flow table"
+                )]
                 let pos = u32::try_from(self.active.len()).expect("active table overflow");
                 let f = &mut self.flows[fi as usize];
                 f.active = true;

@@ -5,12 +5,12 @@
 //! The workspace's one general JSON reader and writer: a small
 //! recursive-descent parser and serializer with no dependencies.
 //!
-//! Scenario files, run/sweep/chaos/lint reports, orchestra manifests and
+//! Scenario files, run/sweep/chaos reports, orchestra manifests and
 //! journals, chaos cases and the perf record all go through [`parse`] and
 //! [`Json`]. The one exception is the flat JSONL trace line, which
 //! `trace::parse` decodes with a scanner typed to that wire format. The
-//! crate depends on nothing, so `simlint`, which gates the rest of the
-//! workspace, still builds from a bare toolchain.
+//! crate depends on nothing, so `viz`, which builds on it, stays outside
+//! the simulator stack.
 //!
 //! `serde`/`serde_json` cannot be fetched by the offline build, and the
 //! grammar these files need (objects, arrays, strings, numbers, booleans,

@@ -60,13 +60,10 @@ impl RateMeter {
     }
 }
 
-/// A `(time, value)` series with optional decimation, for the window/α
-/// traces of Figs. 7 and 8.
+/// A `(time, value)` series, for the window/α traces of Figs. 7 and 8.
 #[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(f64, f64)>,
-    /// Minimum spacing between retained points, seconds (0 keeps all).
-    min_interval: f64,
 }
 
 impl TimeSeries {
@@ -75,30 +72,18 @@ impl TimeSeries {
         TimeSeries::default()
     }
 
-    /// A series that drops points closer than `min_interval` seconds to the
-    /// previously retained one (keeps trace memory bounded in long runs).
-    pub fn with_min_interval(min_interval: f64) -> TimeSeries {
-        TimeSeries {
-            points: Vec::new(),
-            min_interval,
-        }
-    }
-
     /// Record `value` at time `t`.
     ///
     /// Out-of-order samples (`t` earlier than the last retained point) are
     /// silently ignored: the series stays monotone in time so the
     /// time-weighted integrals in [`TimeSeries::time_average`] and
     /// [`TimeSeries::fraction_at_or_below`] never see negative intervals.
-    /// A sample at exactly the last retained time is kept when
-    /// `min_interval` is zero (later push wins for the zero-width segment).
+    /// A sample at exactly the last retained time is kept (later push wins
+    /// for the zero-width segment).
     pub fn push(&mut self, t: SimTime, value: f64) {
         let ts = t.as_secs_f64();
         if let Some(&(last, _)) = self.points.last() {
             if ts < last {
-                return;
-            }
-            if self.min_interval > 0.0 && ts - last < self.min_interval {
                 return;
             }
         }
@@ -195,8 +180,8 @@ mod tests {
 
     #[test]
     fn series_ignores_out_of_order_samples() {
-        // Without decimation the guard in `push` is what keeps the series
-        // monotone — a regressing timestamp must not corrupt the integrals.
+        // The guard in `push` is what keeps the series monotone — a
+        // regressing timestamp must not corrupt the integrals.
         let mut s = TimeSeries::new();
         s.push(SimTime::from_secs_f64(1.0), 2.0);
         s.push(SimTime::from_secs_f64(3.0), 4.0);
@@ -205,18 +190,10 @@ mod tests {
         assert_eq!(s.points(), &[(1.0, 2.0), (3.0, 4.0), (5.0, 6.0)]);
         // 2·2 + 4·2 = 12 over 4 s; unaffected by the dropped sample.
         assert!((s.time_average().unwrap() - 3.0).abs() < 1e-12);
-
-        // With decimation, an out-of-order sample is likewise dropped (and
-        // must not reset the spacing baseline).
-        let mut d = TimeSeries::with_min_interval(0.5);
-        d.push(SimTime::from_secs_f64(1.0), 1.0);
-        d.push(SimTime::from_secs_f64(0.2), 9.0); // out of order: dropped
-        d.push(SimTime::from_secs_f64(1.6), 2.0);
-        assert_eq!(d.points(), &[(1.0, 1.0), (1.6, 2.0)]);
     }
 
     #[test]
-    fn series_keeps_equal_timestamps_without_decimation() {
+    fn series_keeps_equal_timestamps() {
         let mut s = TimeSeries::new();
         s.push(SimTime::from_secs_f64(1.0), 2.0);
         s.push(SimTime::from_secs_f64(1.0), 3.0);
@@ -226,13 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn series_records_and_decimates() {
-        let mut s = TimeSeries::with_min_interval(0.5);
+    fn series_records_every_point() {
+        let mut s = TimeSeries::new();
+        assert!(s.is_empty());
         s.push(SimTime::from_secs_f64(0.0), 1.0);
-        s.push(SimTime::from_secs_f64(0.1), 2.0); // dropped
+        s.push(SimTime::from_secs_f64(0.1), 2.0);
         s.push(SimTime::from_secs_f64(0.6), 3.0);
-        assert_eq!(s.points(), &[(0.0, 1.0), (0.6, 3.0)]);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.points(), &[(0.0, 1.0), (0.1, 2.0), (0.6, 3.0)]);
+        assert_eq!(s.len(), 3);
         assert!(!s.is_empty());
     }
 

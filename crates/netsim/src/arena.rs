@@ -74,6 +74,10 @@ impl PacketArena {
             // Slab growth guard, not a hot-path invariant: 2^32 in-flight
             // packets would exhaust memory long before this trips.
             assert!(self.slots.len() < u32::MAX as usize, "packet arena full");
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the assert above bounds the arena below u32::MAX"
+            )]
             let slot = self.slots.len() as u32;
             self.slots.push(ArenaSlot {
                 gen: 0,

@@ -25,6 +25,10 @@ impl QueueId {
     /// [`crate::Simulation::reserve_queue_block`] are contiguous, so
     /// topology builders address members arithmetically from the block's
     /// first id instead of materializing id tables.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the assert bounds the sum to u32 before the cast"
+    )]
     pub fn offset(self, delta: usize) -> QueueId {
         let v = self.0 as u64 + delta as u64;
         assert!(v <= u32::MAX as u64, "queue id overflow");

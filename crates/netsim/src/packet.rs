@@ -69,7 +69,6 @@ pub struct Packet {
 
 impl Packet {
     /// A data packet at the start of its route.
-    #[allow(clippy::too_many_arguments)]
     pub fn data(
         src: EndpointId,
         dst: EndpointId,
@@ -96,7 +95,10 @@ impl Packet {
     }
 
     /// An ACK packet at the start of its route.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a packet header's fields, set once at construction"
+    )]
     pub fn ack(
         src: EndpointId,
         dst: EndpointId,

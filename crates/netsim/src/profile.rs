@@ -9,10 +9,12 @@
 //! windows on concurrent test threads never see each other's events.
 //! [`RunProfile`] pairs a snapshot with wall-clock time so reporters can
 //! compute events/sec and the sim-time/wall-time ratio.
+#![expect(
+    clippy::disallowed_types,
+    reason = "this module is the wall-clock profiling boundary: events/sec needs real time, and sim logic never reads it"
+)]
 
 use std::cell::Cell;
-
-// simlint: allow(R1) this module IS the wall-clock profiling boundary; sim logic never reads it
 use std::time::Instant;
 
 use eventsim::SimDuration;
@@ -46,7 +48,6 @@ pub fn totals() -> (u64, u64) {
 pub struct RunProfile {
     start_events: u64,
     start_sim_ns: u64,
-    // simlint: allow(R1) events/sec needs real time by definition; never feeds event ordering
     start_wall: Instant,
 }
 
@@ -57,7 +58,6 @@ impl RunProfile {
         RunProfile {
             start_events: e,
             start_sim_ns: s,
-            // simlint: allow(R1) wall-clock read is the profiling measurement itself
             start_wall: Instant::now(),
         }
     }

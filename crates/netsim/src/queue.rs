@@ -68,6 +68,10 @@ impl RedParams {
             min_th: 25.0 * scale,
             max_th: 50.0 * scale,
             max_p: 0.1,
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "a rounded, positive packet count; `as` saturates, it never wraps"
+            )]
             limit: ((300.0 * scale).round() as usize).max(5),
             ewma_weight: 0.002,
         }
@@ -461,6 +465,10 @@ impl QueueTable {
 
     /// Reserve `count` queues sharing `config` without constructing them;
     /// returns the first id of the (contiguous) block.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the assert bounds the block's end to u32 before the cast"
+    )]
     pub(crate) fn reserve_block(&mut self, count: usize, config: QueueConfig) -> u32 {
         let start = self.total;
         let end = self.total as u64 + count as u64;

@@ -69,9 +69,15 @@ pub fn route(hops: &[QueueId]) -> Route {
         {
             Ok(i) => index[i],
             Err(i) => {
-                // simlint: allow(R5) setup-time capacity guard, routes are interned before the event loop starts
+                #[expect(
+                    clippy::expect_used,
+                    reason = "setup-time capacity guard, routes are interned before the event loop starts"
+                )]
                 let start = u32::try_from(arena.len()).expect("route arena full");
-                // simlint: allow(R5) setup-time capacity guard, routes are interned before the event loop starts
+                #[expect(
+                    clippy::expect_used,
+                    reason = "setup-time capacity guard, routes are interned before the event loop starts"
+                )]
                 let len = u32::try_from(hops.len()).expect("route too long");
                 arena.extend_from_slice(hops);
                 let r = Route { start, len };

@@ -183,12 +183,16 @@ fn enqueue(
     match q.try_enqueue(r, now, rng) {
         Ok(()) => {
             tracer.emit(now, || TraceEvent::Enqueue {
-                queue: qid.index() as u32,
+                queue: qid.0,
                 conn,
                 subflow,
                 kind: kind.into(),
                 seq,
                 size,
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a queue holds at most its packet cap, far below u32::MAX"
+                )]
                 qlen: q.len() as u32,
             });
             if !q.busy {
@@ -202,7 +206,7 @@ fn enqueue(
         }
         Err(reason) => {
             tracer.emit(now, || TraceEvent::Drop {
-                queue: qid.index() as u32,
+                queue: qid.0,
                 conn,
                 subflow,
                 kind: kind.into(),
@@ -383,7 +387,10 @@ impl Simulation {
             self.endpoints[i as usize] = EndpointSlot::Vacant;
             return EndpointId(i);
         }
-        // simlint: allow(R5) setup-time capacity guard, runs before the event loop starts
+        #[expect(
+            clippy::expect_used,
+            reason = "setup-time capacity guard, runs before the event loop starts"
+        )]
         let id = EndpointId(u32::try_from(self.endpoints.len()).expect("too many endpoints"));
         self.endpoints.push(EndpointSlot::Vacant);
         id
@@ -496,12 +503,16 @@ impl Simulation {
                 let r = q.complete_service(size);
                 debug_assert_eq!(r, head);
                 self.tracer.emit(now, || TraceEvent::Dequeue {
-                    queue: qid.index() as u32,
+                    queue: qid.0,
                     conn,
                     subflow,
                     kind: kind.into(),
                     seq,
                     size,
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "a queue holds at most its packet cap, far below u32::MAX"
+                    )]
                     qlen: q.buf.len() as u32,
                 });
                 // Busy time accrues at completion (not when service was
@@ -566,7 +577,7 @@ impl Simulation {
     /// [`FaultPlan`] entries).
     fn apply_fault(&mut self, now: SimTime, action: FaultAction) {
         self.tracer.emit(now, || TraceEvent::Fault {
-            queue: action.queue().index() as u32,
+            queue: action.queue().0,
             action: action.label(),
         });
         match action {
@@ -719,14 +730,6 @@ impl Simulation {
     pub fn endpoint(&self, id: EndpointId) -> &dyn Endpoint {
         match &self.endpoints[id.index()] {
             EndpointSlot::Installed(ep) => ep.as_ref(),
-            _ => panic!("endpoint {id} not installed"),
-        }
-    }
-
-    /// Mutable access to an installed endpoint.
-    pub fn endpoint_mut(&mut self, id: EndpointId) -> &mut (dyn Endpoint + 'static) {
-        match &mut self.endpoints[id.index()] {
-            EndpointSlot::Installed(ep) => ep.as_mut(),
             _ => panic!("endpoint {id} not installed"),
         }
     }

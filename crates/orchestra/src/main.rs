@@ -176,7 +176,10 @@ fn main() {
     };
 
     silence_job_panics();
-    // simlint: allow(R1) orchestrator wall-clock summary is diagnostic only — nothing feeds back into reports
+    #[expect(
+        clippy::disallowed_types,
+        reason = "orchestrator wall-clock summary is diagnostic only; nothing feeds back into reports"
+    )]
     let started = std::time::Instant::now();
     match run(&dir, &cli.opts) {
         Ok(summary) => {

@@ -159,6 +159,10 @@ fn attempt(
     let state = Arc::new(AtomicU8::new(RUNNING));
     let thread_state = Arc::clone(&state);
     let live_for_thread = Arc::clone(&ledger.live);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one attempt per thread so a hung job can be timed out; its result returns to the worker that owns the job's slot"
+    )]
     thread::Builder::new()
         .name("orchestra-job".to_string())
         .spawn(move || {
@@ -226,6 +230,10 @@ pub fn run_pool(
     let next = AtomicUsize::new(0);
     let ledger = AbandonLedger::default();
     let slots: Vec<Mutex<Option<JobResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "fans independent jobs across workers; each result lands in its job's slot, so scheduling cannot reach the merge order"
+    )]
     thread::scope(|scope| {
         for _ in 0..cfg.workers.min(jobs.len().max(1)) {
             scope.spawn(|| loop {

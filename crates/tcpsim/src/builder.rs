@@ -95,10 +95,9 @@ impl ConnectionSpec {
         self
     }
 
-    /// Enable window/α tracing with the given minimum sample spacing.
-    pub fn with_trace(mut self, min_interval: f64) -> ConnectionSpec {
+    /// Enable per-subflow window traces, plus α traces for multipath OLIA.
+    pub fn with_trace(mut self) -> ConnectionSpec {
         self.config.trace = true;
-        self.config.trace_interval = min_interval;
         self
     }
 
@@ -290,13 +289,37 @@ mod tests {
         let (fwd, rev) = dumbbell(&mut sim, 10e6, SimDuration::from_millis(40), 60);
         let conn = ConnectionSpec::new(Algorithm::Reno)
             .with_path(PathSpec::new(route(&[fwd]), route(&[rev])))
-            .with_trace(0.01)
+            .with_trace()
             .install(&mut sim, 0);
         sim.start_endpoint_at(conn.source, SimTime::ZERO);
         sim.run_until(SimTime::from_secs_f64(5.0));
         let trace = conn.handle.cwnd_trace(0);
         assert!(trace.len() > 10, "expected many window samples");
         assert!(trace.iter().all(|&(_, w)| w >= 1.0));
+    }
+
+    #[test]
+    fn only_olia_traces_alpha() {
+        // α is OLIA's term: a traced two-path LIA connection records window
+        // samples on both subflows and no α samples; OLIA records both.
+        let traced = |algorithm: Algorithm| {
+            let mut sim = Simulation::new(6);
+            let (f1, r1) = dumbbell(&mut sim, 10e6, SimDuration::from_millis(40), 60);
+            let (f2, r2) = dumbbell(&mut sim, 10e6, SimDuration::from_millis(40), 60);
+            let conn = ConnectionSpec::new(algorithm)
+                .with_path(PathSpec::new(route(&[f1]), route(&[r1])))
+                .with_path(PathSpec::new(route(&[f2]), route(&[r2])))
+                .with_trace()
+                .install(&mut sim, 0);
+            sim.start_endpoint_at(conn.source, SimTime::ZERO);
+            sim.run_until(SimTime::from_secs_f64(5.0));
+            let h = &conn.handle;
+            assert!(h.cwnd_trace(0).len() > 10 && h.cwnd_trace(1).len() > 10);
+            (h.alpha_trace(0).len(), h.alpha_trace(1).len())
+        };
+        assert_eq!(traced(Algorithm::Lia), (0, 0));
+        let (a0, a1) = traced(Algorithm::Olia);
+        assert!(a0 > 10 && a1 > 10, "OLIA α samples: {a0}, {a1}");
     }
 
     #[test]

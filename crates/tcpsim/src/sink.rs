@@ -48,6 +48,10 @@ impl ReorderWindow {
     }
 
     /// Whether `v` is buffered.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an offset above the window base is bounded by the data in flight, far below u32::MAX"
+    )]
     fn contains(&self, v: u64) -> bool {
         v >= self.base
             && ((v - self.base) as usize) < self.bits.len()
@@ -57,6 +61,10 @@ impl ReorderWindow {
     /// Buffer `v` (idempotent). `v` must be at or above the window base.
     fn insert(&mut self, v: u64) {
         debug_assert!(v >= self.base, "insert below the reorder window");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "an offset above the window base is bounded by the data in flight, far below u32::MAX"
+        )]
         let off = (v - self.base) as usize;
         if off >= self.bits.len() {
             self.bits.resize(off + 1, false);
@@ -239,6 +247,10 @@ impl Endpoint for TcpSink {
         // Delayed ACKs: suppress the ACK for in-order arrivals until
         // `ack_every` of them accumulate. Out-of-order or duplicate data is
         // ACKed immediately so the sender sees dupACKs promptly (RFC 5681).
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one arrival drains at most the reorder window, bounded by the data in flight"
+        )]
         if advanced > 0 {
             sf.unacked += advanced as u32;
             if sf.unacked < self.ack_every {

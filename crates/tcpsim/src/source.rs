@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 
 use eventsim::{SimDuration, TimerHandle};
-use mpsim_core::{alpha_for, MultipathCc, PathView};
+use mpsim_core::{alpha_for, Algorithm, MultipathCc, PathView};
 use netsim::{Endpoint, EndpointId, NetCtx, Packet, PacketKind, Route};
 use trace::{CwndReason, SubflowState, TraceEvent};
 
@@ -114,6 +114,10 @@ impl DsnWindow {
     /// the first transmission of `seq`.
     fn map(&mut self, seq: u64, next_dsn: &mut u64) -> u64 {
         debug_assert!(seq >= self.base, "transmit below the ACKed window");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "an offset above the ACKed base is bounded by the data in flight, far below u32::MAX"
+        )]
         let off = (seq - self.base) as usize;
         if off == self.dsns.len() {
             let d = *next_dsn;
@@ -217,6 +221,15 @@ fn is_probe_token(token: u64) -> bool {
     (token >> 62) & 0b11 == 0b01
 }
 
+/// Subflow `idx` as the packets' and trace events' `u16` subflow field.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "TcpSource::new bounds a connection's subflows to u16"
+)]
+fn wire_subflow(idx: usize) -> u16 {
+    idx as u16
+}
+
 /// The subflow index carried in any token kind.
 fn decode_idx(token: u64) -> usize {
     (token & !(0b11 << 62)) as usize
@@ -238,6 +251,10 @@ impl TcpSource {
         handle: FlowHandle,
     ) -> TcpSource {
         assert!(!fwd_routes.is_empty(), "connection needs at least one path");
+        assert!(
+            fwd_routes.len() <= usize::from(u16::MAX),
+            "a subflow index must fit the packets' u16 subflow field"
+        );
         let cfg = intern_config(&cfg);
         let bounds = RtoBounds::new(cfg.min_rto, cfg.max_rto, cfg.initial_rto);
         let subflows = fwd_routes
@@ -321,7 +338,7 @@ impl TcpSource {
             ctx.me(),
             self.dst,
             self.conn,
-            idx as u16,
+            wire_subflow(idx),
             seq,
             self.cfg.mss,
             sf.fwd,
@@ -487,7 +504,7 @@ impl TcpSource {
         let conn = self.conn;
         ctx.tracer().emit(ctx.now(), || TraceEvent::Cwnd {
             conn,
-            subflow: idx as u16,
+            subflow: wire_subflow(idx),
             cwnd,
             ssthresh,
             reason,
@@ -499,7 +516,7 @@ impl TcpSource {
         let conn = self.conn;
         ctx.tracer().emit(ctx.now(), || TraceEvent::SubflowState {
             conn,
-            subflow: idx as u16,
+            subflow: wire_subflow(idx),
             from,
             to,
         });
@@ -510,12 +527,10 @@ impl TcpSource {
         let sf = &self.subflows[idx];
         let trace = self.cfg.trace;
         let now = ctx.now();
-        let alpha = if trace && self.subflows.len() > 1 {
-            let views = self.path_views();
-            Some(alpha_for(&views, idx))
-        } else {
-            None
-        };
+        // α is OLIA's own term (Eq. 6); no other algorithm has one to trace.
+        let traces_alpha =
+            trace && self.subflows.len() > 1 && self.cc.name() == Algorithm::Olia.name();
+        let alpha = traces_alpha.then(|| alpha_for(&self.path_views(), idx));
         self.handle.update(|s| {
             let st = &mut s.subflows[idx];
             st.cwnd = sf.cwnd;
@@ -571,7 +586,7 @@ impl TcpSource {
                     let conn = self.conn;
                     ctx.tracer().emit(ctx.now(), || TraceEvent::RttSample {
                         conn,
-                        subflow: idx as u16,
+                        subflow: wire_subflow(idx),
                         rtt_ns: sample.as_nanos(),
                         srtt_ns: SimDuration::from_secs_f64(sf.rtt.srtt_or(0.0)).as_nanos(),
                     });
@@ -660,7 +675,7 @@ impl TcpSource {
                     let conn = self.conn;
                     ctx.tracer().emit(ctx.now(), || TraceEvent::FastRetransmit {
                         conn,
-                        subflow: idx as u16,
+                        subflow: wire_subflow(idx),
                         seq: hole,
                     });
                     self.trace_cwnd(ctx, idx, CwndReason::FastRetransmit);
@@ -707,7 +722,7 @@ impl TcpSource {
         let (conn, backoff) = (self.conn, self.subflows[idx].backoff);
         ctx.tracer().emit(ctx.now(), || TraceEvent::RtoFire {
             conn,
-            subflow: idx as u16,
+            subflow: wire_subflow(idx),
             backoff,
             rto_ns: expired_rto.as_nanos(),
         });
@@ -793,7 +808,7 @@ impl TcpSource {
         let conn = self.conn;
         ctx.tracer().emit(ctx.now(), || TraceEvent::Probe {
             conn,
-            subflow: idx as u16,
+            subflow: wire_subflow(idx),
             seq: probe_seq,
             next_interval_ns: next_interval.as_nanos(),
         });
@@ -860,7 +875,6 @@ mod tests {
     use super::*;
     use crate::builder::{ConnectionSpec, PathSpec};
     use eventsim::SimTime;
-    use mpsim_core::Algorithm;
     use netsim::{route, QueueConfig, Simulation};
 
     fn test_subflow(backoff: u32) -> Subflow {

@@ -47,11 +47,9 @@ pub struct TcpConfig {
     /// Prune when a subflow's quality `ℓ/rtt²` falls below this fraction of
     /// the best subflow's.
     pub prune_quality_ratio: f64,
-    /// Record per-subflow window and α traces (Figs. 7–8). Off by default:
-    /// traces cost memory in large experiments.
+    /// Record per-subflow window traces, plus α traces for multipath OLIA
+    /// (Figs. 7–8). Off by default: traces cost memory in large experiments.
     pub trace: bool,
-    /// Minimum spacing of trace samples, seconds.
-    pub trace_interval: f64,
     /// Consecutive RTOs before a subflow of a multipath connection is
     /// classified [`PathHealth::PotentiallyFailed`] (no new data is
     /// scheduled on it, retransmissions continue).
@@ -87,7 +85,6 @@ impl Default for TcpConfig {
             prune_cooldown: SimDuration::from_secs(5),
             prune_quality_ratio: 0.05,
             trace: false,
-            trace_interval: 0.0,
             pf_rto_threshold: 2,
             fail_rto_threshold: 4,
             reprobe_initial: SimDuration::from_secs(1),
@@ -318,7 +315,8 @@ impl FlowHandle {
         })
     }
 
-    /// Clone of one subflow's α trace points (empty when not tracing).
+    /// Clone of one subflow's α trace points (empty when not tracing, and
+    /// for every algorithm but multipath OLIA).
     pub fn alpha_trace(&self, idx: usize) -> Vec<(f64, f64)> {
         self.read(|s| {
             s.subflows[idx]

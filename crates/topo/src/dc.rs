@@ -278,7 +278,10 @@ impl FatTree {
 
     /// Install a connection from `src` to `dst` with `subflows` subflows on
     /// randomly sampled distinct paths.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the endpoints, algorithm, size, config, RNG and id of one connection are all independent"
+    )]
     pub fn connect(
         &self,
         sim: &mut Simulation,

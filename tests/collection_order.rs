@@ -1,5 +1,6 @@
-//! Regression pin for the `HashMap` → `BTreeMap` migrations done for the
-//! simlint R2 (unordered-collection) audit.
+//! Regression pin for the `HashMap` → `BTreeMap` migrations made under
+//! determinism rule R2 (no hash-ordered collections; `clippy.toml` bans
+//! `HashMap` and `HashSet`).
 //!
 //! The `dsn_map` in `tcpsim::source` was a `HashMap` keyed by subflow
 //! sequence number; it is only ever used point-wise (entry / remove), never
