@@ -38,9 +38,6 @@ rm -f "$clippy_log"
 # deletion cannot leave a dangling [`name`] behind in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Observability gate: a fast traced scenario must produce a non-empty JSONL
-# trace and a schema-valid run report. --strict: "no reports found" must
-# fail, not vacuously pass.
 cargo build --release --offline -p bench
 
 # Table gate: the testbed binaries rewrite the 16 tracked Scenario A-C
@@ -51,6 +48,17 @@ cargo build --release --offline -p bench
 # ~3 s; and the two fluid-solver binaries, which have no scale switch,
 # their 2, ~5 s. Any byte of difference from the committed results/ fails
 # here, so the tracked tables cannot drift from the code that writes them.
+# The Fig. 7/8 binary runs traced (the observability gate below), so its
+# unchanged tables also prove that tracing changes no result.
+run_reports=()
+for bin in scenario_a scenario_b scenario_c \
+    fig13_fattree fig14_table3_shortflows dc_robustness \
+    fig7_8_traces ablation_alpha_responsiveness ablation_path_pruning \
+    ablation_rcv_window ablation_red_variants ablation_rtt_compensation \
+    theory_convergence theory_fluid; do
+    run_reports+=("results/$bin.json")
+done
+rm -f "${run_reports[@]}" results/ci_trace.*.jsonl
 tracked_tables=()
 for t in fig1b_scenario_a_throughput fig1c_scenario_a_loss \
     fig9_scenario_a_olia_throughput fig10_scenario_a_olia_loss \
@@ -73,7 +81,8 @@ for bin in scenario_a scenario_b scenario_c \
     fig13_fattree fig14_table3_shortflows dc_robustness; do
     REPRO_QUICK=1 "./target/release/$bin" >/dev/null
 done
-for bin in fig7_8_traces ablation_alpha_responsiveness ablation_path_pruning \
+MPTCP_TRACE=results/ci_trace MPTCP_TRACE_CONNS=0 ./target/release/fig7_8_traces >/dev/null
+for bin in ablation_alpha_responsiveness ablation_path_pruning \
     ablation_rcv_window ablation_red_variants ablation_rtt_compensation \
     theory_convergence theory_fluid; do
     "./target/release/$bin" >/dev/null
@@ -84,10 +93,17 @@ if ! git diff --exit-code --quiet -- "${tracked_tables[@]}"; then
     exit 1
 fi
 
-rm -f results/ci_trace.*.jsonl results/repro_run.json
-MPTCP_TRACE=results/ci_trace ./target/release/repro_run scenarios/lossy_backup.json
-test -s results/ci_trace.custom.seed11.jsonl
-./target/release/validate_report --strict results/repro_run.json
+# Observability gate: the traced Fig. 7/8 run above must leave one
+# non-empty JSONL trace per run, each named after the run's parameters
+# (MPTCP_TRACE_CONNS=0 keeps the multipath connection, ~0.12M lines a run),
+# and each of the 14 table binaries a schema-valid run report. A missing
+# report fails validate_report, as does --strict with none found.
+for n2 in 5 10; do
+    for alg in olia lia; do
+        test -s "results/ci_trace.two_bottleneck-n1-5-n2-$n2-$alg.seed42.jsonl"
+    done
+done
+./target/release/validate_report --strict "${run_reports[@]}"
 
 # Orchestration gate: run the quick CI manifest sharded across 2 workers,
 # then validate the cross-seed sweep report and every per-job run report.
@@ -104,17 +120,16 @@ rm -rf results/orchestra/ci-gate
     results/orchestra/ci-gate results/orchestra/ci-gate/jobs
 
 # Viz gate: rendering is a pure function of the artifact bytes. Render the
-# observability gate's pinned-seed trace twice and require byte-identical
+# observability gate's Fig. 8 OLIA trace twice and require byte-identical
 # pages; require the page to be self-contained (no external references);
 # and render the orchestra run's sweep explorer to prove the end-to-end
 # artifact -> page path stays alive. The golden-digest and --jobs identity
 # proofs live in cargo test (tests/viz_timeline.rs, crates/viz); this gate
 # re-checks the shipped binary on fresh artifacts.
 cargo build --release --offline -p viz
-./target/release/viz trace results/ci_trace.custom.seed11.jsonl \
-    --out results/ci_trace.a.html
-./target/release/viz trace results/ci_trace.custom.seed11.jsonl \
-    --out results/ci_trace.b.html
+fig8_olia_trace=results/ci_trace.two_bottleneck-n1-5-n2-10-olia.seed42.jsonl
+./target/release/viz trace "$fig8_olia_trace" --out results/ci_trace.a.html
+./target/release/viz trace "$fig8_olia_trace" --out results/ci_trace.b.html
 cmp results/ci_trace.a.html results/ci_trace.b.html
 if grep -qE 'http://|https://|file://|<script' results/ci_trace.a.html; then
     echo "ci: viz page is not self-contained (external reference or script)"

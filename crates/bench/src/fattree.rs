@@ -36,6 +36,15 @@ pub struct PermutationResult {
     pub jain: f64,
 }
 
+/// The `MPTCP_TRACE` label of one [`permutation`] run: the parameters that
+/// vary between runs, so each run of one process writes its own file.
+pub(crate) fn permutation_label(k: usize, algorithm: Algorithm, subflows: usize) -> String {
+    format!(
+        "fattree_permutation-k-{k}-{}-subflows-{subflows}",
+        algorithm.name()
+    )
+}
+
 /// Run the §VI-B.1 permutation experiment: every host sends one long-lived
 /// flow to a distinct host using `algorithm` with `subflows` subflows.
 pub fn permutation(
@@ -46,7 +55,8 @@ pub fn permutation(
     seed: u64,
 ) -> PermutationResult {
     let mut sim = Simulation::new(seed);
-    let _trace = crate::tracing::attach_from_env(&mut sim, "fattree_permutation", seed);
+    let label = permutation_label(k, algorithm, subflows);
+    let _trace = crate::tracing::attach_from_env(&mut sim, &label, seed);
     permutation_in(&mut sim, k, algorithm, subflows, secs, seed)
 }
 
@@ -126,12 +136,23 @@ pub struct ShortFlowResult {
     pub planned: usize,
 }
 
+/// The `MPTCP_TRACE` label of one [`short_flows`] run (see
+/// [`permutation_label`]).
+pub(crate) fn short_flows_label(k: usize, long: LongFlows) -> String {
+    match long {
+        LongFlows::Tcp => format!("fattree_shortflows-k-{k}-long-tcp"),
+        LongFlows::Mptcp(alg, n) => {
+            format!("fattree_shortflows-k-{k}-long-{}-subflows-{n}", alg.name())
+        }
+    }
+}
+
 /// Run the §VI-B.2 dynamic experiment on a 4:1 oversubscribed `k`-ary
 /// FatTree: one-third of hosts send long-lived flows (per `long`), the rest
 /// send 70 kB Poisson short flows over regular TCP.
 pub fn short_flows(k: usize, long: LongFlows, horizon_s: f64, seed: u64) -> ShortFlowResult {
     let mut sim = Simulation::new(seed);
-    let _trace = crate::tracing::attach_from_env(&mut sim, "fattree_shortflows", seed);
+    let _trace = crate::tracing::attach_from_env(&mut sim, &short_flows_label(k, long), seed);
     short_flows_in(&mut sim, k, long, horizon_s, seed)
 }
 
@@ -254,14 +275,6 @@ pub struct ChurnResult {
     pub live_at_end: usize,
     /// Ring-pool counters over the run (recycled vs fresh ring requests).
     pub pool: tcpsim::pool::PoolStats,
-}
-
-/// Run the sustained-churn experiment standalone (see
-/// [`heavytail_churn_in`]).
-pub fn heavytail_churn(k: usize, long: LongFlows, horizon_s: f64, seed: u64) -> ChurnResult {
-    let mut sim = Simulation::new(seed);
-    let _trace = crate::tracing::attach_from_env(&mut sim, "fattree_heavytail", seed);
-    heavytail_churn_in(&mut sim, k, long, horizon_s, seed)
 }
 
 /// Heavy-tailed churn on a 4:1 oversubscribed `k`-ary FatTree: one-third of

@@ -23,13 +23,16 @@
 //! * [`traces`] — the window/α time series of Figs. 7–8;
 //! * [`fattree`] — the data-center experiments of Figs. 13–14/Table III;
 //! * [`table`] — aligned-table printing and CSV output under `results/`;
-//! * [`config`] — JSON-described custom scenarios (the `repro_run` CLI);
 //! * [`report`] — machine-readable JSON run reports under `results/`
 //!   (schema-versioned; includes events/sec and sim/wall profiling);
 //! * [`tracing`] — `MPTCP_TRACE`-driven structured JSONL trace capture for
 //!   the binaries.
+//!
+//! A new experiment goes into the registry: a [`jobs::ScenarioDef`] in
+//! [`jobs::REGISTRY`] (a job body over one seeded simulation and its
+//! parameter grid), plus a manifest under `manifests/` naming the scenario,
+//! a grid and the seeds, which `orchestra` runs into a sweep report.
 
-pub mod config;
 pub mod fattree;
 pub mod jobs;
 pub mod report;

@@ -2,11 +2,12 @@
 //!
 //! Every experiment binary ends by writing `results/<name>.json` through a
 //! [`RunReport`]: what was run (scenario parameters, seed), what came out
-//! (scalar metrics, the same tables the binary prints), and how fast the
-//! simulator went (wall time, events processed, events/sec, sim-time to
+//! (scalar metrics, the same tables the binary prints), and how long the
+//! run took (wall time, events processed, events/sec, sim-time to
 //! wall-time ratio). The format is versioned ([`SCHEMA`]) and checked by
-//! [`validate`], which CI runs against freshly produced reports — this is
-//! the perf trajectory the `BENCH_*.json` files track across PRs.
+//! [`validate`], which CI runs against every table binary's fresh report.
+//! Speed is not tracked here: the wall-clock fields vary with the host, and
+//! the repository benchmark (`perfbench/`) times the simulators.
 //!
 //! Shape of a report (all five top-level sections are required):
 //!
@@ -18,23 +19,17 @@
 //!   "metrics": { "flow.0.goodput.mbps": 3.2 },
 //!   "tables": { "flow groups": [ { "group": "mptcp", "mean Mb/s": 4.1 } ] },
 //!   "profile": { "wall_s": 1.2, "events": 410000, "events_per_sec": 3.4e5,
-//!                "sim_s": 45.0, "sim_wall_ratio": 37.5,
-//!                "percentiles": { "fct_s": { "p50": 1.1, "p95": 2.0, "p99": 2.4 } } }
+//!                "sim_s": 45.0, "sim_wall_ratio": 37.5 }
 //! }
 //! ```
 //!
-//! v2 added the optional `profile.percentiles` section — tail percentiles
-//! of every histogram snapshot into the report (the sweep explorer's
-//! per-point pages surface them). Every report in the tree, orchestra's
-//! per-job reports among them, is written as v2, and [`validate`] accepts
-//! only v2.
+//! Every report in the tree, orchestra's per-job reports among them, is
+//! written as v2, and [`validate`] accepts only v2.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use eventsim::SimTime;
-use metrics::Registry;
 use netsim::profile::RunProfile;
 
 use crate::table::Table;
@@ -62,7 +57,6 @@ pub struct RunReport {
     params: BTreeMap<String, Json>,
     metrics: BTreeMap<String, f64>,
     tables: BTreeMap<String, Json>,
-    percentiles: BTreeMap<String, [f64; 3]>,
     profile: RunProfile,
 }
 
@@ -75,7 +69,6 @@ impl RunReport {
             params: BTreeMap::new(),
             metrics: BTreeMap::new(),
             tables: BTreeMap::new(),
-            percentiles: BTreeMap::new(),
             profile: RunProfile::start(),
         }
     }
@@ -98,33 +91,6 @@ impl RunReport {
         self.param("jitter_s", cfg.jitter_s);
         self.param("replications", cfg.replications as u64);
         self.param("seed", cfg.seed);
-    }
-
-    /// Snapshot a whole [`Registry`] into the metrics section, prefixing
-    /// every flattened name with `prefix.` (or nothing when empty).
-    pub fn registry(&mut self, prefix: &str, registry: &Registry, now: SimTime) {
-        for (name, value) in registry.snapshot(now) {
-            let key = if prefix.is_empty() {
-                name
-            } else {
-                format!("{prefix}.{name}")
-            };
-            self.metrics.insert(key, value);
-        }
-        // Histograms additionally export their tail percentiles into the
-        // profile section (v2), where sweep tooling picks them up.
-        for (name, h) in registry.histograms() {
-            if h.total() == 0 {
-                continue;
-            }
-            let key = if prefix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{prefix}.{name}")
-            };
-            self.percentiles
-                .insert(key, [h.quantile(0.50), h.quantile(0.95), h.quantile(0.99)]);
-        }
     }
 
     /// Embed a results table (the same one the binary prints), keyed by its
@@ -154,28 +120,8 @@ impl RunReport {
         self.document(timeless_profile(p.events, p.sim_ns as f64 / 1e9))
     }
 
-    /// The report document around `profile`, an object to which the
-    /// histogram percentiles are added.
-    fn document(&self, mut profile: Json) -> Json {
-        if !self.percentiles.is_empty() {
-            let pcts: BTreeMap<String, Json> = self
-                .percentiles
-                .iter()
-                .map(|(name, [p50, p95, p99])| {
-                    (
-                        name.clone(),
-                        Json::object([
-                            ("p50", Json::from(*p50)),
-                            ("p95", Json::from(*p95)),
-                            ("p99", Json::from(*p99)),
-                        ]),
-                    )
-                })
-                .collect();
-            if let Json::Object(fields) = &mut profile {
-                fields.insert("percentiles".to_string(), Json::Object(pcts));
-            }
-        }
+    /// The report document around `profile`.
+    fn document(&self, profile: Json) -> Json {
         Json::object([
             ("schema", Json::from(SCHEMA)),
             ("name", Json::from(self.name.clone())),
@@ -319,19 +265,6 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     let events = require_number(profile, "profile", "events")?;
     if events.fract() != 0.0 {
         return Err("profile.events must be an integer".to_string());
-    }
-    if let Some(pcts) = profile.get("percentiles") {
-        let pcts = pcts
-            .as_object()
-            .ok_or("profile.percentiles must be an object")?;
-        for (name, entry) in pcts {
-            let ctx = format!("profile.percentiles.{name}");
-            let q = |key: &str| require_number(entry, &ctx, key);
-            let (p50, p95, p99) = (q("p50")?, q("p95")?, q("p99")?);
-            if !(p50 <= p95 && p95 <= p99) {
-                return Err(format!("{ctx}: quantiles must satisfy p50 <= p95 <= p99"));
-            }
-        }
     }
     Ok(())
 }
@@ -656,64 +589,14 @@ mod tests {
         );
         let profile = reparsed.get("profile").unwrap();
         assert!(profile.get("wall_s").unwrap().as_f64().unwrap() >= 0.0);
-    }
 
-    #[test]
-    fn registry_snapshot_lands_in_metrics() {
-        let mut reg = Registry::new();
-        reg.inc("queue.ap.dropped", 3);
-        reg.set_gauge("flow.0.goodput_mbps", 2.5);
-        let mut r = RunReport::start("unit_test_registry");
-        r.registry("", &reg, SimTime::ZERO);
-        r.registry("rep0", &reg, SimTime::ZERO);
-        let doc = r.finish();
-        validate(&doc).unwrap();
-        let metrics = doc.get("metrics").unwrap();
-        assert_eq!(metrics.get("queue.ap.dropped").unwrap().as_f64(), Some(3.0));
-        assert_eq!(
-            metrics.get("rep0.flow.0.goodput_mbps").unwrap().as_f64(),
-            Some(2.5)
-        );
-    }
-
-    #[test]
-    fn histogram_percentiles_land_in_profile() {
-        let mut reg = Registry::new();
-        for v in [1.0, 2.0, 3.0, 4.0, 50.0] {
-            reg.histogram("fct_s", 0.5, 200).record(v);
-        }
-        reg.inc("drops", 1); // non-histograms must not produce entries
-        let mut r = RunReport::start("unit_test_percentiles");
-        r.registry("", &reg, SimTime::ZERO);
-        let doc = r.finish();
-        validate(&doc).expect("v2 report with percentiles must validate");
-        let pcts = doc
-            .get("profile")
-            .and_then(|p| p.get("percentiles"))
-            .expect("profile.percentiles missing");
-        let fct = pcts.get("fct_s").expect("fct_s percentiles missing");
-        let p50 = fct.get("p50").unwrap().as_f64().unwrap();
-        let p99 = fct.get("p99").unwrap().as_f64().unwrap();
-        assert!(p50 <= p99, "p50 {p50} > p99 {p99}");
-        assert!(pcts.get("drops").is_none());
-
-        // The timeless profile keeps them and zeroes only the wall clock.
+        // The timeless profile zeroes only the wall clock.
         let timeless = r.finish_timeless();
         validate(&timeless).unwrap();
         let profile = timeless.get("profile").unwrap();
-        assert_eq!(profile.get("percentiles"), Some(pcts));
         for key in ["wall_s", "events_per_sec", "sim_wall_ratio"] {
             assert_eq!(profile.get(key).and_then(Json::as_f64), Some(0.0), "{key}");
         }
-
-        // A registry without histogram samples adds no percentiles section.
-        let mut r = RunReport::start("unit_test_no_percentiles");
-        let mut empty = Registry::new();
-        empty.inc("drops", 1);
-        r.registry("", &empty, SimTime::ZERO);
-        let doc = r.finish();
-        validate(&doc).unwrap();
-        assert!(doc.get("profile").unwrap().get("percentiles").is_none());
     }
 
     #[test]
@@ -724,20 +607,6 @@ mod tests {
         let v1 = v2.replace("/v2", "/v1");
         let err = validate(&parse(&v1).unwrap()).unwrap_err();
         assert!(err.contains("unknown schema"), "{err}");
-    }
-
-    #[test]
-    fn disordered_percentiles_rejected() {
-        let bad = r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},"metrics":{},
-            "tables":{},"profile":{"wall_s":0,"events":0,"events_per_sec":0,"sim_s":0,"sim_wall_ratio":0,
-            "percentiles":{"fct_s":{"p50":5.0,"p95":2.0,"p99":9.0}}}}"#;
-        let err = validate(&parse(bad).unwrap()).unwrap_err();
-        assert!(err.contains("p50 <= p95"), "{err}");
-        let missing = r#"{"schema":"mptcp-run-report/v2","name":"x","params":{},"metrics":{},
-            "tables":{},"profile":{"wall_s":0,"events":0,"events_per_sec":0,"sim_s":0,"sim_wall_ratio":0,
-            "percentiles":{"fct_s":{"p50":1.0}}}}"#;
-        let err = validate(&parse(missing).unwrap()).unwrap_err();
-        assert!(err.contains("p95"), "{err}");
     }
 
     #[test]

@@ -22,6 +22,12 @@ pub struct TraceResult {
     pub goodput_mbps: f64,
 }
 
+/// The `MPTCP_TRACE` label of one [`run`]: the parameters that vary
+/// between runs, so each run of one process writes its own file.
+pub(crate) fn trace_label(n1: usize, n2: usize, algorithm: Algorithm) -> String {
+    format!("two_bottleneck-n1-{n1}-n2-{n2}-{}", algorithm.name())
+}
+
 /// Run the two-bottleneck scenario for `secs` simulated seconds with window
 /// tracing on the multipath user.
 pub fn run(
@@ -44,7 +50,7 @@ pub fn run(
         config,
     };
     let mut sim = Simulation::new(seed);
-    let _trace = crate::tracing::attach_from_env(&mut sim, "two_bottleneck", seed);
+    let _trace = crate::tracing::attach_from_env(&mut sim, &trace_label(n1, n2, algorithm), seed);
     let s = TwoBottleneck::build(&mut sim, &params);
     let all: Vec<Connection> = std::iter::once(s.multipath.clone())
         .chain(s.tcp1.iter().cloned())

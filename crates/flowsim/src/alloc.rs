@@ -131,6 +131,10 @@ impl Subflows {
             let f = &flows[fi as usize];
             self.rule.push(f.rule);
             let (ends, links) = f.hops();
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`links` only grows in this loop, and the assert after it bounds its length to u32"
+            )]
             let base = self.links.len() as u32;
             self.links.extend_from_slice(links);
             let mut start = 0;
@@ -143,8 +147,18 @@ impl Subflows {
             let (rtts, rates) = f.rtts_rates();
             self.rtt.extend_from_slice(rtts);
             self.rate.extend_from_slice(rates);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "every path crosses a link, so the subflow count is at most the link count the assert below bounds to u32"
+            )]
             self.flow_off.push(self.rate.len() as u32);
         }
+        // One bound for every cast above and every subflow index a recompute
+        // makes: subflows never outnumber the links they cross.
+        assert!(
+            u32::try_from(self.links.len()).is_ok(),
+            "subflow table overflow"
+        );
         self.tgt.resize(self.rate.len(), 0.0);
     }
 
@@ -405,9 +419,14 @@ fn max_min_fill(caps: &[f64], sub: &Subflows, w: &mut Fill) {
     w.cursor.clear();
     w.cursor.extend_from_slice(&w.link_off[..nlinks]);
     for j in 0..nsub {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "j < nsub, at most the link count `Subflows::gather` bounds to u32"
+        )]
+        let id = j as u32;
         for &l in sub.path(j) {
             let c = &mut w.cursor[l as usize];
-            w.link_sub[*c as usize] = j as u32;
+            w.link_sub[*c as usize] = id;
             *c += 1;
         }
     }
@@ -429,6 +448,10 @@ fn max_min_fill(caps: &[f64], sub: &Subflows, w: &mut Fill) {
     // Subflows in demand order.
     let demand = &sub.rate;
     w.order.clear();
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "nsub is at most the link count `Subflows::gather` bounds to u32"
+    )]
     w.order.extend(0..nsub as u32);
     w.order
         .sort_unstable_by(|&a, &b| demand[a as usize].total_cmp(&demand[b as usize]));
@@ -523,6 +546,10 @@ impl LinkHeap {
 
     /// Insert link `l`, which must not be in the heap.
     fn push(&mut self, l: usize, key: u64) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`l` is a link id, which `FlowNet::add_link_pps` bounds to u32"
+        )]
         self.entries.push((key, l as u32));
         self.sift_up(self.entries.len() - 1);
     }
@@ -573,7 +600,12 @@ impl LinkHeap {
 
     fn place(&mut self, i: usize, e: (u64, u32)) {
         self.entries[i] = e;
-        self.pos[e.1 as usize] = i as u32;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a heap position is below the link count, and `FlowNet::add_link_pps` bounds link ids to u32"
+        )]
+        let pos = i as u32;
+        self.pos[e.1 as usize] = pos;
     }
 
     fn sift_up(&mut self, mut i: usize) {

@@ -88,6 +88,10 @@ impl FlowFatTree {
         host / self.half()
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "`base + off` is a link of a block `build` added, whose ids `FlowNet::add_link_pps` bounds to u32"
+    )]
     fn link(base: u32, off: usize) -> LinkId {
         LinkId(base + off as u32)
     }

@@ -4,6 +4,8 @@
 // Determinism rules; DESIGN.md "Static analysis & determinism rules".
 // R5: no panicking extractor where the event loop can reach it.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+// R9: no silently truncating cast of a time, sequence or index value.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 //! Flow-level fair-share simulation backend.
 //!

@@ -488,10 +488,19 @@ impl FlowSim {
         let size = f.size;
         self.active.swap_remove(pos);
         if let Some(&moved) = self.active.get(pos) {
-            self.flows[moved as usize].active_pos = pos as u32;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`pos` indexes the active table, whose every push checks its index against u32"
+            )]
+            let pos = pos as u32;
+            self.flows[moved as usize].active_pos = pos;
         }
         self.free.push(fi);
         self.completed += 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a finite flow's size is its u64 packet count stored as f64 (`FlowSlot::new`): integral, so the cast drops no fraction"
+        )]
         let total = size as u64;
         self.tracer.emit(t, || TraceEvent::Deliver {
             conn,

@@ -1,12 +1,12 @@
 //! Fixed-bin histograms for flow-completion-time distributions (Fig. 14).
 
-/// A histogram with uniform bins over `[0, bin_width · bins)` plus an
-/// overflow bin.
+/// A histogram with uniform bins over `[0, bin_width · bins)`. Samples
+/// beyond the last bin count toward the moments and the PDF's
+/// normalization but land in no bin.
 #[derive(Debug, Clone)]
 pub struct Histogram {
     bin_width: f64,
     counts: Vec<u64>,
-    overflow: u64,
     total: u64,
     sum: f64,
     sumsq: f64,
@@ -21,7 +21,6 @@ impl Histogram {
         Histogram {
             bin_width,
             counts: vec![0; bins],
-            overflow: 0,
             total: 0,
             sum: 0.0,
             sumsq: 0.0,
@@ -33,24 +32,12 @@ impl Histogram {
     pub fn record(&mut self, x: f64) {
         debug_assert!(x >= 0.0, "negative sample {x}");
         let idx = (x.max(0.0) / self.bin_width) as usize;
-        if idx < self.counts.len() {
-            self.counts[idx] += 1;
-        } else {
-            self.overflow += 1;
+        if let Some(count) = self.counts.get_mut(idx) {
+            *count += 1;
         }
         self.total += 1;
         self.sum += x;
         self.sumsq += x * x;
-    }
-
-    /// Number of recorded samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Samples beyond the last bin.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
     }
 
     /// Sample mean (0 when empty).
@@ -86,24 +73,6 @@ impl Histogram {
             })
             .collect()
     }
-
-    /// The `q`-quantile (0 ≤ q ≤ 1) estimated from the binned data; overflow
-    /// samples count as "beyond the last bin edge".
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} out of range");
-        if self.total == 0 {
-            return 0.0;
-        }
-        let target = (q * self.total as f64).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return (i as f64 + 1.0) * self.bin_width;
-            }
-        }
-        self.counts.len() as f64 * self.bin_width
-    }
 }
 
 #[cfg(test)]
@@ -117,25 +86,15 @@ mod tests {
         for x in [5.0, 15.0, 15.0, 49.0, 120.0] {
             h.record(x);
         }
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.overflow(), 1);
         assert!((h.mean() - 40.8).abs() < 1e-9);
         let pdf = h.pdf();
         assert_eq!(pdf.len(), 5);
+        // 120 lies beyond the last bin: the bins hold 4 of the 5 samples.
+        let mass: f64 = pdf.iter().map(|&(_, d)| d * 10.0).sum();
+        assert!((mass - 0.8).abs() < 1e-12);
         // bin [10,20) holds 2 of 5 samples over width 10 → density 0.04.
         assert!((pdf[1].1 - 0.04).abs() < 1e-12);
         assert!((pdf[1].0 - 15.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantiles() {
-        let mut h = Histogram::new(1.0, 100);
-        for i in 0..100 {
-            h.record(i as f64 + 0.5);
-        }
-        assert!((h.quantile(0.5) - 50.0).abs() <= 1.0);
-        assert!((h.quantile(0.99) - 99.0).abs() <= 1.0);
-        assert_eq!(Histogram::new(1.0, 4).quantile(0.5), 0.0);
     }
 
     #[test]
@@ -168,20 +127,6 @@ mod tests {
             let in_range =
                 xs.iter().filter(|&&x| x < 100.0).count() as f64 / xs.len() as f64;
             prop_assert!((mass - in_range).abs() < 1e-9);
-        }
-
-        /// Quantile is monotone in q.
-        #[test]
-        fn prop_quantile_monotone(
-            xs in proptest::collection::vec(0.0_f64..100.0, 1..100),
-            q1 in 0.0_f64..1.0, q2 in 0.0_f64..1.0,
-        ) {
-            let mut h = Histogram::new(2.0, 60);
-            for &x in &xs {
-                h.record(x);
-            }
-            let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
-            prop_assert!(h.quantile(lo) <= h.quantile(hi) + 1e-12);
         }
     }
 }

@@ -7,8 +7,9 @@
 //! Everything the paper reports is one of:
 //!
 //! * a **throughput** averaged over a measurement window after warmup
-//!   (normalized throughputs in Figs. 1, 4, 5, 9, 11; Tables I/II) —
-//!   [`RateMeter`];
+//!   (normalized throughputs in Figs. 1, 4, 5, 9, 11; Tables I/II) — read
+//!   from each connection's `tcpsim::FlowHandle::goodput_mbps`, replicated
+//!   over seeds and summarized here;
 //! * a **loss probability** at a bottleneck (Figs. 1c, 5d, 10, 12) — computed
 //!   from `netsim` queue counters, summarized here;
 //! * a **time series** of windows/α values (Figs. 7, 8) — [`TimeSeries`];
@@ -20,16 +21,11 @@
 //! [`Summary`] provides mean/std and Student-t 95% confidence intervals, the
 //! same presentation the paper uses ("in all cases we present 95% confidence
 //! intervals").
-//!
-//! The [`Registry`] aggregates any of these primitives under stable dotted
-//! names so run reporters can snapshot every counter and gauge at once.
 
 mod histogram;
-mod registry;
 mod series;
 mod summary;
 
 pub use histogram::Histogram;
-pub use registry::{Metric, Registry};
-pub use series::{RateMeter, TimeSeries};
+pub use series::TimeSeries;
 pub use summary::{jain_index, Summary};

@@ -1,64 +1,6 @@
-//! Rate meters and time-series samplers.
+//! Time-series samplers.
 
 use eventsim::SimTime;
-
-/// Measures average throughput over a window: count bytes, divide by
-/// elapsed time since the last reset.
-///
-/// Every experiment in the paper discards a warmup transient ("each Iperf
-/// session runs for 120 seconds to allow the flows to reach equilibrium");
-/// [`RateMeter::reset`] at the end of warmup gives the equilibrium average.
-#[derive(Debug, Clone, Copy)]
-pub struct RateMeter {
-    bytes: u64,
-    since: SimTime,
-}
-
-impl RateMeter {
-    /// A meter starting its window at `now`.
-    pub fn new(now: SimTime) -> RateMeter {
-        RateMeter {
-            bytes: 0,
-            since: now,
-        }
-    }
-
-    /// Record `n` delivered bytes.
-    pub fn add(&mut self, n: u64) {
-        self.bytes += n;
-    }
-
-    /// Restart the measurement window at `now`, discarding history.
-    pub fn reset(&mut self, now: SimTime) {
-        self.bytes = 0;
-        self.since = now;
-    }
-
-    /// Bytes recorded in the current window.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Average rate in bits/s from window start to `now`.
-    ///
-    /// Degenerate windows are well-defined rather than infinite or negative:
-    /// a zero-length window (`now == since`) and a backwards clock
-    /// (`now < since`, possible when a caller resets at a checkpoint ahead
-    /// of an event already scheduled) both report 0.0.
-    pub fn rate_bps(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.since).as_secs_f64();
-        if dt <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 * 8.0 / dt
-        }
-    }
-
-    /// Average rate in Mb/s.
-    pub fn rate_mbps(&self, now: SimTime) -> f64 {
-        self.rate_bps(now) / 1e6
-    }
-}
 
 /// A `(time, value)` series, for the window/α traces of Figs. 7 and 8.
 #[derive(Debug, Clone, Default)]
@@ -142,41 +84,6 @@ impl TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eventsim::SimDuration;
-
-    #[test]
-    fn rate_meter_basic() {
-        let t0 = SimTime::from_secs_f64(1.0);
-        let mut m = RateMeter::new(t0);
-        m.add(1_000_000);
-        let t1 = t0 + SimDuration::from_secs(2);
-        // 1 MB over 2 s = 4 Mb/s.
-        assert!((m.rate_mbps(t1) - 4.0).abs() < 1e-9);
-        assert_eq!(m.bytes(), 1_000_000);
-    }
-
-    #[test]
-    fn rate_meter_reset_discards_warmup() {
-        let t0 = SimTime::ZERO;
-        let mut m = RateMeter::new(t0);
-        m.add(999_999_999);
-        let warm = SimTime::from_secs_f64(10.0);
-        m.reset(warm);
-        m.add(250_000);
-        let end = warm + SimDuration::from_secs(1);
-        assert!((m.rate_mbps(end) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_meter_zero_window() {
-        // A zero-length or backwards window must report 0, not inf/NaN or a
-        // negative rate — even with bytes already recorded.
-        let mut m = RateMeter::new(SimTime::from_secs_f64(5.0));
-        m.add(1_000_000);
-        assert_eq!(m.rate_bps(SimTime::from_secs_f64(5.0)), 0.0);
-        assert_eq!(m.rate_bps(SimTime::from_secs_f64(4.0)), 0.0);
-        assert!((m.rate_mbps(SimTime::from_secs_f64(6.0)) - 8.0).abs() < 1e-9);
-    }
 
     #[test]
     fn series_ignores_out_of_order_samples() {

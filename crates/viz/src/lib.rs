@@ -17,8 +17,8 @@
 //!   coordinate to two decimals).
 //! - [`page`] — the shared page shell with the single inline stylesheet.
 //! - [`render`] — timeline → HTML.
-//! - [`sweep`] — sweep report + job reports → comparison explorer
-//!   (index + per-point pages with mean±ci95 charts and percentiles).
+//! - [`sweep`] — sweep report → comparison explorer (index + per-point
+//!   pages with mean±ci95 charts and determinism digests).
 //! - [`chaos_page`] — chaos repro case → fault-plan schedule page,
 //!   embedding the recorded timeline when a sibling trace exists.
 //!

@@ -2,14 +2,11 @@
 //!
 //! The index page charts every metric across all parameter points (mean
 //! with a ci95 whisker per point) and links one detail page per point with
-//! the full per-metric statistics, per-seed determinism digests, and —
-//! when the per-job run reports carry them — the p50/p95/p99 tail
-//! percentiles exported from `metrics` histograms.
+//! the full per-metric statistics and the per-seed determinism digests.
 //!
-//! Rendering is a pure function of the sweep document plus the job
-//! reports, so the emitted bytes are identical across reruns and across
-//! `--jobs` settings (point pages are rendered in parallel but joined in
-//! point order).
+//! Rendering is a pure function of the sweep document, so the emitted bytes
+//! are identical across reruns and across `--jobs` settings (point pages
+//! are rendered in parallel but joined in point order).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -42,9 +39,6 @@ struct Point {
     failed_seeds: Vec<u64>,
     digests: Vec<String>,
     metrics: BTreeMap<String, Stat>,
-    /// Per-seed `(seed, histogram name, [p50, p95, p99])` rows from the
-    /// job reports' `profile.percentiles`, when present.
-    percentiles: Vec<(u64, String, [f64; 3])>,
 }
 
 fn stat_of(j: &Json) -> Option<Stat> {
@@ -82,32 +76,11 @@ pub fn point_file_name(key: &str) -> String {
     format!("point-{}-{:08x}.html", slug, d.finish() as u32)
 }
 
-fn parse_points(doc: &Json, job_reports: &BTreeMap<String, Json>) -> Result<Vec<Point>, String> {
+fn parse_points(doc: &Json) -> Result<Vec<Point>, String> {
     let points = doc
         .get("points")
         .and_then(Json::as_array)
         .ok_or("sweep document has no points array")?;
-    // Map point key -> (seed, report Json) from the job index.
-    let mut reports_by_point: BTreeMap<String, Vec<(u64, &Json)>> = BTreeMap::new();
-    if let Some(index) = doc.get("job_index").and_then(Json::as_array) {
-        for entry in index {
-            let (Some(job), Some(path)) = (
-                entry.get("job").and_then(Json::as_str),
-                entry.get("report").and_then(Json::as_str),
-            ) else {
-                continue;
-            };
-            let Some(report) = job_reports.get(path) else {
-                continue;
-            };
-            let (point_key, seed_part) = job.split_once("#seed=").unwrap_or((job, "0"));
-            let seed = seed_part.parse().unwrap_or(0);
-            reports_by_point
-                .entry(point_key.to_string())
-                .or_default()
-                .push((seed, report));
-        }
-    }
     let mut out = Vec::with_capacity(points.len());
     for p in points {
         let key = p
@@ -159,30 +132,6 @@ fn parse_points(doc: &Json, job_reports: &BTreeMap<String, Json>) -> Result<Vec<
                     .collect()
             })
             .unwrap_or_default();
-        let mut percentiles = Vec::new();
-        if let Some(reports) = reports_by_point.get(&key) {
-            let mut sorted = reports.clone();
-            sorted.sort_by_key(|(seed, _)| *seed);
-            for (seed, report) in sorted {
-                let Some(pcts) = report
-                    .get("profile")
-                    .and_then(|p| p.get("percentiles"))
-                    .and_then(Json::as_object)
-                else {
-                    continue;
-                };
-                for (hist, v) in pcts {
-                    let (Some(p50), Some(p95), Some(p99)) = (
-                        v.get("p50").and_then(Json::as_f64),
-                        v.get("p95").and_then(Json::as_f64),
-                        v.get("p99").and_then(Json::as_f64),
-                    ) else {
-                        continue;
-                    };
-                    percentiles.push((seed, hist.clone(), [p50, p95, p99]));
-                }
-            }
-        }
         out.push(Point {
             key,
             scenario,
@@ -191,7 +140,6 @@ fn parse_points(doc: &Json, job_reports: &BTreeMap<String, Json>) -> Result<Vec<
             failed_seeds: seeds_of("failed_seeds"),
             digests,
             metrics,
-            percentiles,
         });
     }
     Ok(out)
@@ -332,21 +280,6 @@ fn point_page(p: &Point) -> String {
         );
     }
     body.push_str("</table>\n");
-    if !p.percentiles.is_empty() {
-        body.push_str("<h2>tail percentiles (per seed)</h2>\n<table><tr><th>seed</th><th class=\"l\">histogram</th><th>p50</th><th>p95</th><th>p99</th></tr>\n");
-        for (seed, hist, [p50, p95, p99]) in &p.percentiles {
-            let _ = writeln!(
-                body,
-                "<tr><td>{}</td><td class=\"l\">{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-                seed,
-                esc(hist),
-                fmt2(*p50),
-                fmt2(*p95),
-                fmt2(*p99)
-            );
-        }
-        body.push_str("</table>\n");
-    }
     if !p.digests.is_empty() {
         body.push_str("<h2>trace digests (determinism witnesses)</h2>\n<table><tr><th>seed</th><th class=\"l\">digest</th></tr>\n");
         for (i, d) in p.digests.iter().enumerate() {
@@ -370,12 +303,8 @@ fn point_page(p: &Point) -> String {
 /// Render the sweep explorer: `("index.html", …)` plus one page per point,
 /// in point order. `jobs` only parallelizes point-page rendering — the
 /// returned pages are byte-identical for any value.
-pub fn sweep_pages(
-    doc: &Json,
-    job_reports: &BTreeMap<String, Json>,
-    jobs: usize,
-) -> Result<Vec<(String, String)>, String> {
-    let points = parse_points(doc, job_reports)?;
+pub fn sweep_pages(doc: &Json, jobs: usize) -> Result<Vec<(String, String)>, String> {
+    let points = parse_points(doc)?;
     let mut pages = Vec::with_capacity(points.len() + 1);
     pages.push(("index.html".to_string(), index_page(doc, &points)));
 
@@ -407,8 +336,8 @@ pub fn sweep_pages(
     Ok(pages)
 }
 
-/// Load `sweep.json` (and any job reports it indexes) from an orchestra
-/// run directory and render the explorer pages.
+/// Load `sweep.json` from an orchestra run directory and render the
+/// explorer pages.
 pub fn render_run_dir(
     run_dir: &std::path::Path,
     jobs: usize,
@@ -418,22 +347,7 @@ pub fn render_run_dir(
         .map_err(|e| format!("cannot read {}: {e}", sweep_path.display()))?;
     let doc =
         json::parse(&text).map_err(|e| format!("{}: invalid JSON: {e}", sweep_path.display()))?;
-    let mut job_reports = BTreeMap::new();
-    if let Some(index) = doc.get("job_index").and_then(Json::as_array) {
-        for entry in index {
-            let Some(rel) = entry.get("report").and_then(Json::as_str) else {
-                continue;
-            };
-            let path = run_dir.join(rel);
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue; // failed jobs have no report; skip silently
-            };
-            if let Ok(parsed) = json::parse(&text) {
-                job_reports.insert(rel.to_string(), parsed);
-            }
-        }
-    }
-    sweep_pages(&doc, &job_reports, jobs)
+    sweep_pages(&doc, jobs)
 }
 
 #[cfg(test)]
@@ -470,24 +384,11 @@ mod tests {
         .unwrap()
     }
 
-    fn sample_reports() -> BTreeMap<String, Json> {
-        let mut m = BTreeMap::new();
-        m.insert(
-            "jobs/r1.json".to_string(),
-            parse(
-                r#"{"profile": {"percentiles": {"rtt_ms": {"p50": 40.0, "p95": 80.0, "p99": 95.0}}}}"#,
-            )
-            .unwrap(),
-        );
-        m
-    }
-
     #[test]
     fn pages_are_byte_identical_across_jobs_settings() {
         let doc = sample_doc();
-        let reports = sample_reports();
-        let solo = sweep_pages(&doc, &reports, 1).unwrap();
-        let parallel = sweep_pages(&doc, &reports, 4).unwrap();
+        let solo = sweep_pages(&doc, 1).unwrap();
+        let parallel = sweep_pages(&doc, 4).unwrap();
         assert_eq!(solo, parallel);
         assert_eq!(solo.len(), 3, "index + 2 point pages");
         assert_eq!(solo[0].0, "index.html");
@@ -495,30 +396,12 @@ mod tests {
 
     #[test]
     fn index_links_point_pages_and_charts_metrics() {
-        let pages = sweep_pages(&sample_doc(), &BTreeMap::new(), 1).unwrap();
+        let pages = sweep_pages(&sample_doc(), 1).unwrap();
         let index = &pages[0].1;
         assert!(index.contains("goodput"));
         assert!(index.contains(&point_file_name("smoke?a=1")));
         assert!(index.contains("data-mean=\"5.00\""));
         assert!(index.contains("data-mean=\"7.00\""));
-    }
-
-    #[test]
-    fn point_page_carries_percentiles_when_reports_have_them() {
-        let pages = sweep_pages(&sample_doc(), &sample_reports(), 1).unwrap();
-        let p1 = pages
-            .iter()
-            .find(|(name, _)| name == &point_file_name("smoke?a=1"))
-            .unwrap();
-        assert!(p1.1.contains("tail percentiles"));
-        assert!(p1.1.contains("rtt_ms"));
-        assert!(p1.1.contains("95.00"));
-        // The other point has no report -> no percentile section.
-        let p2 = pages
-            .iter()
-            .find(|(name, _)| name == &point_file_name("smoke?a=2"))
-            .unwrap();
-        assert!(!p2.1.contains("tail percentiles"));
     }
 
     #[test]
